@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -506,68 +506,63 @@ class ScoringEngine:
         return self._score_plan(plan)
 
     def score_encoded(self, encoded: list[EncodedPair]) -> np.ndarray:
-        """Scores in [0, 1] for ``encoded``, reusing everything reusable."""
-        self.stats.scoring_calls += 1
-        count = len(encoded)
-        self.stats.pairs_requested += count
-        if count == 0:
-            return np.zeros(0, dtype=np.float64)
-        with obs.span(
-            "engine.score", pairs=count, version=self._version
-        ) as score_span:
-            self.model.eval()
-            self.classifier.eval()
-
-            with self.stats.timer("fingerprint"):
-                fingerprints = [fingerprint_encoded(pair) for pair in encoded]
-            self._load_persisted()
-
-            scores = np.empty(count, dtype=np.float64)
-            dirty: list[int] = []
-            for index, fingerprint in enumerate(fingerprints):
-                cached = self._scores.get(fingerprint)
-                if cached is None:
-                    dirty.append(index)
-                else:
-                    scores[index] = cached
-            self.stats.pairs_skipped += count - len(dirty)
-            self.stats.pairs_scored += len(dirty)
-            score_span.set(dirty=len(dirty), skipped=count - len(dirty))
-
-            if dirty:
-                with self.stats.timer("bucket"):
-                    plan = plan_microbatches(
-                        [encoded[i] for i in dirty],
-                        microbatch_size=self.config.microbatch_size,
-                        bucket_granularity=self.config.bucket_granularity,
-                    )
-                self.stats.buckets += plan_num_buckets(plan)
-                self.stats.microbatches += len(plan)
-                score_span.set(microbatches=len(plan))
-                results = self._score_plan(plan)
-                for microbatch, probabilities in zip(plan, results):
-                    for position, probability in zip(microbatch.indices, probabilities):
-                        index = dirty[position]
-                        value = float(probability)
-                        scores[index] = value
-                        self._scores[fingerprints[index]] = value
-                self._save_persisted()
-        return scores
+        """Scores in [0, 1] for ``encoded`` rows, reusing everything reusable."""
+        return self._score_cached(
+            encoded,
+            fingerprint_encoded,
+            lambda dirty: plan_microbatches(
+                [encoded[i] for i in dirty],
+                microbatch_size=self.config.microbatch_size,
+                bucket_granularity=self.config.bucket_granularity,
+            ),
+        )
 
     def score_halves(self, halves, plane) -> np.ndarray:
         """Scores for pairs given as cached halves, assembled zero-copy.
 
-        The encode-plane fast path of :meth:`score_encoded`: ``halves`` is a
-        list of :class:`repro.lm.encode_plane.PairHalves` and ``plane`` the
-        :class:`~repro.lm.encode_plane.EncodePlane` that produced them.
-        Fingerprints are computed digest-parity from the halves (so the
-        in-memory and persisted score caches are shared with the sequential
-        path), bucket planning reads the precomputed half lengths, and each
-        dirty micro-batch is assembled directly into a pooled buffer --
-        released back to the pool once the serving ladder returns.
+        ``halves`` is a list of :class:`repro.lm.encode_plane.PairHalves` and
+        ``plane`` the :class:`~repro.lm.encode_plane.EncodePlane` that
+        produced them.  Fingerprints are computed digest-parity from the
+        halves (so the in-memory and persisted score caches are shared with
+        :meth:`score_encoded`), bucket planning reads the precomputed half
+        lengths, and each dirty micro-batch is assembled directly into a
+        pooled buffer -- released back to the pool once the serving ladder
+        returns, also when scoring raises.
+        """
+
+        def plan_dirty(dirty: list[int]) -> list[MicroBatch]:
+            chunks = plan_bucket_chunks(
+                [halves[i].length for i in dirty],
+                microbatch_size=self.config.microbatch_size,
+                bucket_granularity=self.config.bucket_granularity,
+            )
+            return [
+                MicroBatch(
+                    tuple(chunk),
+                    plane.assemble([halves[dirty[i]] for i in chunk], pad_to=padded),
+                )
+                for padded, chunk in chunks
+            ]
+
+        return self._score_cached(halves, plane.fingerprint, plan_dirty, plane.release)
+
+    def _score_cached(
+        self,
+        pairs: Sequence,
+        fingerprint: Callable[[object], bytes],
+        plan_dirty: Callable[[list[int]], list[MicroBatch]],
+        release: Callable[[EncodedPair], None] | None = None,
+    ) -> np.ndarray:
+        """The one scoring body behind :meth:`score_encoded`/:meth:`score_halves`.
+
+        Fingerprints every pair, serves cached scores, plans the dirty pairs
+        (``plan_dirty`` receives their positions in ``pairs``), runs the plan
+        down the serving ladder, scatters and caches the results, and
+        persists the score block.  ``release`` is called on every planned
+        batch once scoring returns or raises.
         """
         self.stats.scoring_calls += 1
-        count = len(halves)
+        count = len(pairs)
         self.stats.pairs_requested += count
         if count == 0:
             return np.zeros(0, dtype=np.float64)
@@ -578,13 +573,13 @@ class ScoringEngine:
             self.classifier.eval()
 
             with self.stats.timer("fingerprint"):
-                fingerprints = [plane.fingerprint(pair) for pair in halves]
+                fingerprints = [fingerprint(pair) for pair in pairs]
             self._load_persisted()
 
             scores = np.empty(count, dtype=np.float64)
             dirty: list[int] = []
-            for index, fingerprint in enumerate(fingerprints):
-                cached = self._scores.get(fingerprint)
+            for index, key in enumerate(fingerprints):
+                cached = self._scores.get(key)
                 if cached is None:
                     dirty.append(index)
                 else:
@@ -595,20 +590,7 @@ class ScoringEngine:
 
             if dirty:
                 with self.stats.timer("bucket"):
-                    chunks = plan_bucket_chunks(
-                        [halves[i].length for i in dirty],
-                        microbatch_size=self.config.microbatch_size,
-                        bucket_granularity=self.config.bucket_granularity,
-                    )
-                    plan = [
-                        MicroBatch(
-                            tuple(chunk),
-                            plane.assemble(
-                                [halves[dirty[i]] for i in chunk], pad_to=padded
-                            ),
-                        )
-                        for padded, chunk in chunks
-                    ]
+                    plan = plan_dirty(dirty)
                 self.stats.buckets += plan_num_buckets(plan)
                 self.stats.microbatches += len(plan)
                 score_span.set(microbatches=len(plan))
@@ -623,8 +605,9 @@ class ScoringEngine:
                             scores[index] = value
                             self._scores[fingerprints[index]] = value
                 finally:
-                    for microbatch in plan:
-                        plane.release(microbatch.batch)
+                    if release is not None:
+                        for microbatch in plan:
+                            release(microbatch.batch)
                 self._save_persisted()
         return scores
 

@@ -20,7 +20,7 @@ from typing import Iterator
 class EngineStats:
     """Counters and stage timings accumulated by one :class:`ScoringEngine`."""
 
-    #: Pairs handed to ``score_encoded`` (cached + computed).
+    #: Pairs handed to ``score_encoded``/``score_halves`` (cached + computed).
     pairs_requested: int = 0
     #: Pairs whose score was served from the in-memory fingerprint cache.
     pairs_skipped: int = 0
@@ -53,7 +53,7 @@ class EngineStats:
     respawns_avoided: int = 0
     #: Model-version bumps (weight updates invalidating cached scores).
     invalidations: int = 0
-    #: Calls to ``score_encoded``.
+    #: Calls to ``score_encoded`` plus calls to ``score_halves``.
     scoring_calls: int = 0
     #: Micro-batches executed on the int8 quantized rung.
     quant_batches: int = 0

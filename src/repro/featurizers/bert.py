@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import obs
 from ..lm.bert import MiniBert
-from ..lm.encode_plane import EncodePlane, LruDict, token_key
+from ..lm.encode_plane import EncodePlane
 from ..lm.tokenizer import EncodedPair, WordPieceTokenizer
 from ..nn.activations import relu, relu_backward, sigmoid
 from ..nn.layers import Linear, Module
@@ -384,14 +384,8 @@ class BertFeaturizerConfig:
     #: batches then continue the existing optimisation trajectory instead of
     #: re-estimating the moments from zero every round.
     warm_updates: bool = True
-    #: Route all inference encoding through the vectorized encode plane
-    #: (:mod:`repro.lm.encode_plane`): attribute-level token caching, pair
-    #: halves, zero-copy pooled batch assembly.  Off falls back to per-pair
-    #: ``encode_attribute_pair`` + ``stack_encoded`` (the sequential
-    #: reference the plane is held bit-exact to).
-    use_encode_plane: bool = True
-    #: Bound on the per-pair encode cache (pair halves when the plane is on,
-    #: full :class:`EncodedPair` rows when off); LRU eviction beyond it.
+    #: Bound on the encode plane's ref-keyed pair-halves cache; LRU eviction
+    #: beyond it.
     encode_cache_capacity: int = 8192
     #: Bound on cached attribute token arrays in the plane's token store.
     token_cache_capacity: int = 65536
@@ -426,26 +420,16 @@ class BertFeaturizer:
         self._rng = np.random.default_rng(self.config.seed + 1)
         self._iss_samples: list[TrainingSample] = []
         self._human_samples: list[TrainingSample] = []
-        #: Bounded per-pair encode cache (was an unbounded dict -- ~150MB at
-        #: the 10x-scaled ISS full product).  With the encode plane on, full
-        #: rows are no longer cached here at all: pairs live as halves in
-        #: ``encode_plane.pair_cache`` and batches are assembled on demand.
-        self._encoded_cache: LruDict = LruDict(self.config.encode_cache_capacity)
-        #: The vectorized encode path; ``None`` when disabled by config.
-        self.encode_plane: EncodePlane | None = None
-        if self.config.use_encode_plane:
-            self.encode_plane = EncodePlane(
-                tokenizer,
-                max_length=self.config.max_length,
-                cache_token=engine_cache_token,
-                token_cache_capacity=self.config.token_cache_capacity,
-                pair_cache_capacity=self.config.encode_cache_capacity,
-                persist_tokens=self.config.persist_tokens,
-            )
-        #: ref -> token-store content key of the last text seen for that
-        #: ref; lets ``invalidate_refs`` free retired token entries (content
-        #: addressing already guarantees evolved text misses).
-        self._ref_token_keys: dict = {}
+        #: The vectorized encode path (attribute token store, bounded pair
+        #: halves cache, pooled batch assembly) for inference and training.
+        self.encode_plane = EncodePlane(
+            tokenizer,
+            max_length=self.config.max_length,
+            cache_token=engine_cache_token,
+            token_cache_capacity=self.config.token_cache_capacity,
+            pair_cache_capacity=self.config.encode_cache_capacity,
+            persist_tokens=self.config.persist_tokens,
+        )
         #: Encoded training samples, persisted across ``update()`` calls --
         #: incremental updates re-train on overlapping sample sets, so most
         #: encodings are already known.  TrainingSample is frozen/hashable.
@@ -489,81 +473,23 @@ class BertFeaturizer:
             self.train_stats.encode_cache_hits += 1
             return cached
         self.train_stats.encode_cache_misses += 1
-        if self.encode_plane is not None:
-            encoded = self.encode_plane.assemble_one(
-                self.encode_plane.halves_for_words(sample.words_a, sample.words_b)
-            )
-        else:
-            encoded = self.tokenizer.encode_pair(
-                list(sample.words_a),
-                list(sample.words_b),
-                max_length=self.config.max_length,
-            )
+        plane = self.encode_plane
+        encoded = plane.assemble_one(plane.halves_for_words(sample.words_a, sample.words_b))
         self._sample_encodings[sample] = encoded
         return encoded
-
-    def _pair_halves(self, pair: AttributePairView):
-        """Cached :class:`~repro.lm.encode_plane.PairHalves` of one view."""
-        plane = self.encode_plane
-        key = pair.key
-        halves = plane.pair_cache.get(key)
-        if halves is None:
-            plane.stats.pair_cache_misses += 1
-            halves = plane.halves(
-                pair.source_name,
-                pair.source_description,
-                pair.target_name,
-                pair.target_description,
-            )
-            plane.pair_cache.put(key, halves)
-            self._ref_token_keys[key[0]] = token_key(
-                pair.source_name, pair.source_description
-            )
-            self._ref_token_keys[key[1]] = token_key(
-                pair.target_name, pair.target_description
-            )
-        else:
-            plane.stats.pair_cache_hits += 1
-        return halves
-
-    def _encode_view(self, pair: AttributePairView) -> EncodedPair:
-        key = pair.key
-        cached = self._encoded_cache.get(key)
-        if cached is None:
-            if self.encode_plane is not None:
-                cached = self.encode_plane.assemble_one(self._pair_halves(pair))
-            else:
-                cached = self.tokenizer.encode_attribute_pair(
-                    pair.source_name,
-                    pair.source_description,
-                    pair.target_name,
-                    pair.target_description,
-                    max_length=self.config.max_length,
-                )
-            self._encoded_cache.put(key, cached)
-        return cached
 
     def invalidate_refs(self, refs: set) -> int:
         """Drop encoded pairs touching any of ``refs`` (schema drift).
 
-        The encode caches key on the pair's ref tuple; a renamed or dropped
-        column retires its ref, and the cached token ids embed the old name.
-        With the encode plane on, its pair-halves LRU and attribute token
-        store are swept too (token entries are content-addressed, so evolved
-        text would miss anyway -- the sweep frees the retired entries).
+        The plane's pair-halves cache keys on the pair's ref tuple; a renamed
+        or dropped column retires its ref, and the cached halves embed the
+        old text.  The sweep also frees the retired refs' attribute token
+        entries (content-addressed, so evolved text would miss anyway).
         Returns the number of entries dropped.  The engine's persistent
         score cache needs no sweep: scores are content-addressed by encoding
         fingerprint, so a changed encoding simply misses.
         """
-        stale = [
-            key for key in self._encoded_cache.keys() if key[0] in refs or key[1] in refs
-        ]
-        for key in stale:
-            self._encoded_cache.pop(key)
-        dropped = len(stale)
-        if self.encode_plane is not None:
-            dropped += self.encode_plane.invalidate_refs(refs, self._ref_token_keys)
-        return dropped
+        return self.encode_plane.invalidate_refs(refs)
 
     def encode_cls(
         self, token_lists: Sequence[Sequence[str]], batch_size: int = 64
@@ -573,33 +499,17 @@ class BertFeaturizer:
         The bi-encoder view of MiniBERT: each span is encoded alone as
         ``[CLS] A [SEP]`` and represented by the pooled [CLS] state, giving
         the retrieval layer a model-version-sensitive dense encoder without
-        touching the cross-encoder scoring path.  With the encode plane on,
-        token ids come from the attribute token store and each batch is
-        assembled in one pass (no per-row ``encode_single`` + ``stack``).
+        touching the cross-encoder scoring path.  Token ids come from the
+        encode plane's attribute token store and each batch is assembled in
+        one pass.
         """
-        from ..lm.tokenizer import stack_encoded, trim_encoded
-
         if not token_lists:
             return np.zeros((0, self.model.config.hidden_size), dtype=np.float32)
+        plane = self.encode_plane
+        id_rows = [plane.tokens.ids_for_words(tuple(tokens)) for tokens in token_lists]
         outputs = []
-        if self.encode_plane is not None:
-            id_rows = [
-                self.encode_plane.tokens.ids_for_words(tuple(tokens))
-                for tokens in token_lists
-            ]
-            for start in range(0, len(id_rows), batch_size):
-                batch = self.encode_plane.assemble_singles(
-                    id_rows[start : start + batch_size]
-                )
-                _hidden, pooled = self.model.forward(batch)
-                outputs.append(pooled)
-            return np.concatenate(outputs, axis=0)
-        encoded = [
-            self.tokenizer.encode_single(list(tokens), max_length=self.config.max_length)
-            for tokens in token_lists
-        ]
-        for start in range(0, len(encoded), batch_size):
-            batch = trim_encoded(stack_encoded(encoded[start : start + batch_size]))
+        for start in range(0, len(id_rows), batch_size):
+            batch = plane.assemble_singles(id_rows[start : start + batch_size])
             _hidden, pooled = self.model.forward(batch)
             outputs.append(pooled)
         return np.concatenate(outputs, axis=0)
@@ -896,42 +806,34 @@ class BertFeaturizer:
 
         All inference is delegated to the scoring engine, which serves
         already-scored pairs from its fingerprint cache and pushes the rest
-        through length-bucketed (optionally parallel) micro-batches.  With
-        the encode plane on, pairs travel as cached halves and dirty
-        micro-batches are assembled zero-copy inside the engine
-        (:meth:`repro.engine.ScoringEngine.score_halves`); fingerprints are
-        digest-parity with the sequential path, so both share score caches.
+        through length-bucketed (optionally parallel) micro-batches.  Pairs
+        travel as the encode plane's cached halves and dirty micro-batches
+        are assembled zero-copy inside the engine
+        (:meth:`repro.engine.ScoringEngine.score_halves`).
         """
         if not pairs:
             return np.zeros(0, dtype=np.float64)
-        if self.encode_plane is not None:
-            with self.engine.stats.timer("encode"):
-                halves = [self._pair_halves(pair) for pair in pairs]
-            return self.engine.score_halves(halves, self.encode_plane)
+        plane = self.encode_plane
         with self.engine.stats.timer("encode"):
-            encoded = [self._encode_view(pair) for pair in pairs]
-        return self.engine.score_encoded(encoded)
+            halves = [
+                plane.view_halves(
+                    pair.key,
+                    pair.source_name,
+                    pair.source_description,
+                    pair.target_name,
+                    pair.target_description,
+                )
+                for pair in pairs
+            ]
+        return self.engine.score_halves(halves, plane)
 
     # -- observability -----------------------------------------------------------
 
     def encode_stats_payload(self) -> dict[str, object]:
-        """Encode-plane counters for the matcher's ``encode`` metrics source.
-
-        With the plane off, still reports the bounded per-pair cache gauges
-        (``encode_cache_entries``/``encode_cache_evictions``) so the
-        unbounded-memory regression stays visible either way.
-        """
-        if self.encode_plane is not None:
-            return self.encode_plane.stats_payload()
-        return {
-            "encode_cache_entries": len(self._encoded_cache),
-            "encode_cache_evictions": self._encoded_cache.evictions,
-            "word_cache_hits": self.tokenizer.word_cache_hits,
-            "word_cache_misses": self.tokenizer.word_cache_misses,
-        }
+        """Encode-plane counters for the matcher's ``encode`` metrics source."""
+        return self.encode_plane.stats_payload()
 
     def close(self) -> None:
-        """Release engine resources (worker pool); idempotent."""
-        if self.encode_plane is not None:
-            self.encode_plane.flush()
+        """Persist the token store and release engine resources; idempotent."""
+        self.encode_plane.flush()
         self.engine.close()

@@ -13,7 +13,8 @@ module removes the remaining hot-path cost, the pure-Python encode half:
 * **pair halves** -- a candidate pair is represented as two cached token
   arrays plus the pair-truncation lengths (computed in closed form on the
   lengths, not by ``list.pop``), so forming a pair is two dict hits and a
-  little arithmetic;
+  little arithmetic; :meth:`EncodePlane.view_halves` keeps them in a
+  bounded LRU keyed by the pair's refs and owns that cache's drift sweep;
 * **zero-copy batch assembly** -- :meth:`EncodePlane.assemble` writes
   ``input_ids``/``segment_ids``/``attention_mask`` for a whole micro-batch
   directly into pooled, preallocated buffers by slice-copying the cached
@@ -22,8 +23,9 @@ module removes the remaining hot-path cost, the pure-Python encode half:
 * **fingerprint parity** -- :meth:`EncodePlane.fingerprint` produces the
   *same* blake2b digest as :func:`repro.engine.engine.fingerprint_encoded`
   over the assembled row, without materialising it, so the engine's
-  in-memory and persisted score caches are shared bit-for-bit between the
-  sequential and the batched encode paths.
+  in-memory and persisted score caches are shared bit-for-bit between
+  :meth:`repro.engine.ScoringEngine.score_encoded` rows and
+  :meth:`repro.engine.ScoringEngine.score_halves` pairs.
 
 Everything is held bit-exact to the sequential reference
 (:meth:`repro.lm.tokenizer.WordPieceTokenizer.encode_pair`); the hypothesis
@@ -74,16 +76,12 @@ class EncodeStats:
     token_cache_hits: int = 0
     #: Attribute texts tokenised from scratch.
     token_cache_misses: int = 0
-    #: Token-store entries evicted by the LRU bound.
-    token_cache_evictions: int = 0
     #: Token arrays recovered from a persisted store block.
     tokens_persisted_hits: int = 0
     #: Pair-halves served from the bounded pair LRU.
     pair_cache_hits: int = 0
     #: Pair-halves built fresh (token-store lookups + truncation).
     pair_cache_misses: int = 0
-    #: Pair-LRU entries evicted by the bound.
-    pair_cache_evictions: int = 0
     #: Micro-batches assembled directly into pooled buffers.
     batches_assembled: int = 0
     #: Rows written across all assembled batches.
@@ -450,10 +448,13 @@ class BatchBufferPool:
 class EncodePlane:
     """Attribute-token caching + zero-copy batched pair assembly.
 
-    One plane per :class:`repro.featurizers.bert.BertFeaturizer`; the
-    scoring engine's :meth:`repro.engine.ScoringEngine.score_halves` drives
-    it for inference, ``encode_cls`` for retrieval index builds, and the
-    training paths for sample encoding.
+    One plane per :class:`repro.featurizers.bert.BertFeaturizer`, and the
+    featurizer's only encode path: inference pairs come from
+    :meth:`view_halves` and are assembled inside
+    :meth:`repro.engine.ScoringEngine.score_halves`, ``encode_cls`` builds
+    retrieval batches with :meth:`assemble_singles`, and training samples go
+    through :meth:`halves_for_words` + :meth:`assemble_one`.  The plane owns
+    the ref-keyed pair cache and its drift sweep (:meth:`invalidate_refs`).
     """
 
     def __init__(
@@ -481,6 +482,9 @@ class EncodePlane:
         #: Bounded LRU of :class:`PairHalves` keyed by the caller's pair key
         #: (ref tuples) -- the in-flight working set of interactive sessions.
         self.pair_cache = LruDict(pair_cache_capacity)
+        #: ref -> token-store content key of the last text seen for that ref;
+        #: lets :meth:`invalidate_refs` free retired token entries.
+        self._ref_keys: dict = {}
         self.pool = BatchBufferPool(pool_max_bytes, stats=self.stats)
         vocab = tokenizer.vocab
         self._cls_id = vocab.cls_id
@@ -513,6 +517,26 @@ class EncodePlane:
             int(ids_a.size), int(ids_b.size), max_length - 3
         )
         return PairHalves(ids_a=ids_a, ids_b=ids_b, len_a=len_a, len_b=len_b)
+
+    def view_halves(
+        self, key: tuple, name_a: str, desc_a: str, name_b: str, desc_b: str
+    ) -> PairHalves:
+        """The pair's halves through the ref-keyed pair cache.
+
+        ``key`` is the pair's ``(source_ref, target_ref)``; each ref's text
+        key is remembered so :meth:`invalidate_refs` can free its token
+        entries when the ref drifts.
+        """
+        cached = self.pair_cache.get(key)
+        if cached is not None:
+            self.stats.pair_cache_hits += 1
+            return cached
+        self.stats.pair_cache_misses += 1
+        pair = self.halves(name_a, desc_a, name_b, desc_b)
+        self.pair_cache.put(key, pair)
+        self._ref_keys[key[0]] = token_key(name_a, desc_a)
+        self._ref_keys[key[1]] = token_key(name_b, desc_b)
+        return pair
 
     def halves_for_words(
         self,
@@ -683,21 +707,20 @@ class EncodePlane:
 
     # -- lifecycle -------------------------------------------------------------
 
-    def invalidate_refs(self, refs: set, ref_keys: dict) -> int:
+    def invalidate_refs(self, refs: set) -> int:
         """Drift hook: drop pair-cache entries and token-store keys touching
         ``refs``.
 
-        ``ref_keys`` maps each seen ref to its token-store content key (the
-        featurizer maintains it).  Content addressing already guarantees the
-        evolved text misses; this sweep frees the retired entries and keeps
-        the invalidation contract observable.  Returns entries dropped.
+        Content addressing already guarantees the evolved text misses; this
+        sweep frees the retired entries and keeps the invalidation contract
+        observable.  Returns entries dropped.
         """
         dropped = 0
         for key in self.pair_cache.keys():
             if key[0] in refs or key[1] in refs:
                 dropped += int(self.pair_cache.pop(key))
         for ref in refs:
-            content_key = ref_keys.pop(ref, None)
+            content_key = self._ref_keys.pop(ref, None)
             if content_key is not None:
                 dropped += int(self.tokens.invalidate_key(content_key))
         return dropped
@@ -709,10 +732,10 @@ class EncodePlane:
     def stats_payload(self) -> dict[str, object]:
         """EncodeStats plus cache/pool gauges (the ``encode`` metrics source)."""
         payload = self.stats.as_dict()
+        payload["pair_cache_entries"] = len(self.pair_cache)
         payload["pair_cache_evictions"] = self.pair_cache.evictions
-        payload["encode_cache_entries"] = len(self.pair_cache)
-        payload["encode_cache_evictions"] = self.pair_cache.evictions
         payload["token_cache_entries"] = len(self.tokens)
+        payload["token_cache_evictions"] = self.tokens.evictions
         payload["pool_bytes_held"] = self.pool.pooled_bytes
         payload["word_cache_hits"] = self.tokenizer.word_cache_hits
         payload["word_cache_misses"] = self.tokenizer.word_cache_misses

@@ -102,7 +102,15 @@ class TestDtypeStability:
 
         from repro.lm.tokenizer import stack_encoded
 
-        batch = stack_encoded([featurizer._encode_view(view)])  # noqa: SLF001
+        plane = featurizer.encode_plane
+        halves = plane.view_halves(
+            view.key,
+            view.source_name,
+            view.source_description,
+            view.target_name,
+            view.target_description,
+        )
+        batch = stack_encoded([plane.assemble_one(halves)])
         features, _ = featurizer._forward_features(batch)  # noqa: SLF001
         assert features.dtype == np.float32
 

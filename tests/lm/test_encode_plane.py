@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.batching import plan_bucket_chunks, plan_microbatches
@@ -108,6 +108,7 @@ class TestTrieWordPiece:
         st.lists(st.lists(word_st, min_size=1, max_size=6), min_size=1, max_size=4),
         st.lists(word_st, min_size=1, max_size=12),
     )
+    @example(corpus=[["##1", "##1"]], words=["1"])
     def test_matches_reference_on_random_vocabs(self, corpus, words):
         vocab = build_vocab(corpus, target_size=80)
         fresh = WordPieceTokenizer(vocab)
@@ -440,47 +441,137 @@ class TestAttributeTokenStore:
         assert reader.load_persisted() == 0  # different vocab, different key
 
 
+class TestViewHalves:
+    def test_pair_cache_counters_and_eviction_gauges(self, tokenizer):
+        plane = make_plane(tokenizer, token_cache_capacity=2, pair_cache_capacity=1)
+        first = plane.view_halves(("s1", "t1"), "price", "", "amount", "")
+        assert plane.view_halves(("s1", "t1"), "price", "", "amount", "") is first
+        # Evicts the first pair, and "price" from the two-entry token store.
+        plane.view_halves(("s2", "t1"), "brand", "", "amount", "")
+        payload = plane.stats_payload()
+        assert payload["pair_cache_hits"] == 1
+        assert payload["pair_cache_misses"] == 2
+        assert payload["pair_cache_entries"] == 1
+        assert payload["pair_cache_evictions"] == 1
+        assert payload["token_cache_entries"] == 2
+        assert payload["token_cache_evictions"] == 1
+        assert "encode_cache_evictions" not in payload
+
+
 # -- engine fast path ----------------------------------------------------------
+
+
+def _all_pairs(source_schema, target_schema):
+    return [
+        make_pair_view(source_schema, target_schema, source_ref, target_ref)
+        for source_ref, _ in source_schema.iter_attributes()
+        for target_ref, _ in target_schema.iter_attributes()
+    ]
+
+
+def _texts(source_schema, target_schema):
+    """(name, description) x 2 of every pair, the arguments of ``halves``."""
+    return [
+        (p.source_name, p.source_description, p.target_name, p.target_description)
+        for p in _all_pairs(source_schema, target_schema)
+    ]
+
+
+def _unpersisted_featurizer(tiny_artifacts):
+    from repro.engine import EngineConfig
+
+    # persist_scores off: otherwise a second engine would serve the first's
+    # persisted block (same weights + digest-parity fingerprints) and never
+    # exercise assembly at all.
+    return BertFeaturizer(
+        tiny_artifacts.tokenizer,
+        tiny_artifacts.bert,
+        BertFeaturizerConfig(max_length=24, seed=0, persist_tokens=False),
+        engine_config=EngineConfig(persist_scores=False),
+    )
 
 
 class TestScoreHalvesParity:
     def test_matches_score_encoded(self, tiny_artifacts, source_schema, target_schema):
-        from repro.engine import EngineConfig
+        from repro.engine import ScoringEngine
 
-        # persist_scores off: otherwise the second featurizer would serve
-        # the first's persisted block (same weights + digest-parity
-        # fingerprints) and never exercise assembly at all.
-        engine_config = EngineConfig(persist_scores=False)
-        plain = BertFeaturizer(
-            tiny_artifacts.tokenizer,
-            tiny_artifacts.bert,
-            BertFeaturizerConfig(max_length=24, seed=0, use_encode_plane=False),
-            engine_config=engine_config,
-        )
-        planed = BertFeaturizer(
-            tiny_artifacts.tokenizer,
-            tiny_artifacts.bert,
-            BertFeaturizerConfig(max_length=24, seed=0, persist_tokens=False),
-            engine_config=engine_config,
+        featurizer = _unpersisted_featurizer(tiny_artifacts)
+        plane = featurizer.encode_plane
+        tokenizer = tiny_artifacts.tokenizer
+        # The sequential reference: per-pair encode_attribute_pair rows
+        # scored by score_encoded on an engine over the same weights.
+        reference = ScoringEngine(
+            featurizer.model,
+            featurizer.classifier,
+            sorted(tokenizer.vocab.special_ids()),
+            config=featurizer.engine.config,
         )
         try:
-            pairs = [
-                make_pair_view(source_schema, target_schema, source_ref, target_ref)
-                for source_ref, _ in source_schema.iter_attributes()
-                for target_ref, _ in target_schema.iter_attributes()
-            ]
-            baseline = plain.score_pairs(pairs)
-            fast = planed.score_pairs(pairs)
+            pairs = _all_pairs(source_schema, target_schema)
+            texts = _texts(source_schema, target_schema)
+            rows = [tokenizer.encode_attribute_pair(*text, max_length=24) for text in texts]
+            baseline = reference.score_encoded(rows)
+            fast = featurizer.score_pairs(pairs)
             np.testing.assert_allclose(fast, baseline, atol=1e-8)
-            # Identical fingerprints: the plane path must hit the score
-            # cache the sequential path populated, and vice versa.
-            rescored = planed.score_pairs(pairs)
-            np.testing.assert_array_equal(rescored, fast)
-            assert planed.engine.stats.pairs_skipped >= len(pairs)
-            assert planed.encode_plane.stats.batches_assembled > 0
+            assert plane.stats.batches_assembled > 0
+            # Identical fingerprints: each path hits the score cache the
+            # other populated, so nothing is re-scored.
+            scored = reference.stats.pairs_scored
+            halves = [plane.halves(*text) for text in texts]
+            np.testing.assert_array_equal(reference.score_halves(halves, plane), baseline)
+            assert reference.stats.pairs_scored == scored
+            scored = featurizer.engine.stats.pairs_scored
+            np.testing.assert_array_equal(featurizer.engine.score_encoded(rows), fast)
+            assert featurizer.engine.stats.pairs_scored == scored
         finally:
-            plain.close()
-            planed.close()
+            reference.close()
+            featurizer.close()
+
+
+class TestScoreHalvesBufferRelease:
+    """Pooled assembly buffers go back to the plane's pool after scoring."""
+
+    def test_same_shape_repeat_reuses_buffers(
+        self, tiny_artifacts, source_schema, target_schema
+    ):
+        featurizer = _unpersisted_featurizer(tiny_artifacts)
+        engine, plane = featurizer.engine, featurizer.encode_plane
+        try:
+            halves = [plane.halves(*text) for text in _texts(source_schema, target_schema)]
+            engine.score_halves(halves, plane)
+            batches = plane.stats.batches_assembled
+            assert batches > 0
+            assert plane.stats.pool_hits == 0
+            assert plane.pool.pooled_bytes > 0
+            engine.clear_cached_scores()
+            engine.score_halves(halves, plane)
+            assert plane.stats.pool_hits == batches
+        finally:
+            featurizer.close()
+
+    def test_buffers_released_when_scoring_raises(
+        self, tiny_artifacts, source_schema, target_schema, monkeypatch
+    ):
+        featurizer = _unpersisted_featurizer(tiny_artifacts)
+        engine, plane = featurizer.engine, featurizer.encode_plane
+        pairs = _all_pairs(source_schema, target_schema)
+        try:
+            def fail(plan):
+                raise RuntimeError("scoring failed")
+
+            monkeypatch.setattr(engine, "_score_plan", fail)
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                featurizer.score_pairs(pairs)
+            batches = plane.stats.batches_assembled
+            assert batches > 0
+            assert plane.stats.pool_hits == 0
+            assert plane.pool.pooled_bytes > 0
+            monkeypatch.undo()
+            # Every buffer the failed call assembled is served again.
+            featurizer.score_pairs(pairs)
+            assert plane.stats.pool_hits == batches
+        finally:
+            featurizer.close()
 
 
 # -- drift invalidation contract -----------------------------------------------
@@ -505,11 +596,13 @@ class TestDriftInvalidation:
             featurizer.score_pairs([pair])
             assert len(featurizer.encode_plane.pair_cache) == 1
 
+            tokens_before = len(featurizer.encode_plane.tokens)
             dropped = featurizer.invalidate_refs({source_ref})
-            assert dropped >= 1
+            # One pair-cache entry plus the retired ref's token entry.
+            assert dropped == 2
             assert len(featurizer.encode_plane.pair_cache) == 0
             # The retired ref's token entry is gone from the store...
-            assert source_ref not in featurizer._ref_token_keys
+            assert len(featurizer.encode_plane.tokens) == tokens_before - 1
             # ...and re-scoring under the renamed text derives fresh tokens.
             renamed = make_pair_view(
                 source_schema, target_schema, source_ref, target_ref

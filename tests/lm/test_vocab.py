@@ -41,6 +41,13 @@ class TestBuildVocab:
         b = build_vocab(small_corpus(), target_size=100)
         assert a.tokens == b.tokens
 
+    def test_merge_rebuilding_existing_piece_is_not_duplicated(self):
+        # '#' + '###' -> '##', then '##' + '##1' -> '##1', which the alphabet
+        # already holds; this used to raise "duplicate tokens in vocabulary".
+        vocab = build_vocab([["##1", "##1"]], target_size=80)
+        assert len(set(vocab.tokens)) == len(vocab.tokens)
+        assert "##1" in vocab
+
 
 class TestWordPieceVocab:
     def test_special_ids(self):
