@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test parity test-serve-slow test-autotune-slow quant-gate bench-engine bench-engine-quant bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode trace-smoke
+.PHONY: verify test parity test-serve-slow test-autotune-slow quant-gate bench-engine bench-engine-quant bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode trace-smoke perf-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity suite explicitly
 ## (it is part of tests/, the second run pins it even if testpaths change).
@@ -75,3 +75,16 @@ bench-encode:
 ## well-formedness + iteration parity + `repro trace summarize` rendering.
 trace-smoke:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_trace_smoke.py
+
+## Incremental re-match smoke (tier-2): one short `rematch` run of the repo
+## benchmark (customer D on the 10x-scaled ISS, drift deltas with retypes
+## through the dtype filter), checked against a fresh matcher.  The first run
+## in a checkout prepares its state (about four minutes).  run.py exits 0
+## even when its check fails, so this fails unless the last stdout line is
+## JSON with "correct": true.  Timings are printed, not gated.
+perf-smoke:
+	$(PYTHON) perfbench/run.py --workload rematch --seed 1 --seconds 2 --trace 0 \
+	| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
+	print(*lines, sep="\n"); \
+	sys.exit(0 if lines and json.loads(lines[-1]).get("correct") is True \
+	else "perf-smoke: the rematch run did not report correct: true")'

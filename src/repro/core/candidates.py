@@ -357,8 +357,8 @@ class CandidateStore:
 
         Touches only what the delta touched: dropped sources take their pairs
         (and labels) with them, renamed sources keep their pairs and labels
-        but lose their cached views, retyped sources keep everything (dtype
-        lives in the adjuster's mask, not the views' text).  Surviving pair
+        but lose their cached views, retyped sources keep everything (the
+        adjuster reads dtypes from the schema, not the views).  Surviving pair
         ids are compacted; callers holding pair ids must re-resolve them.
 
         Added sources get the full target product only when

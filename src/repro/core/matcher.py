@@ -243,7 +243,8 @@ class LearnedSchemaMatcher:
           labels and invalidating renamed sources' views;
         * featurizer ref-keyed caches (lexical/embedding scores, BERT
           encodings) shed entries of retired refs;
-        * the adjuster's dtype mask is invalidated when a column retyped;
+        * retyped columns need nothing more: the adjuster reads dtypes from
+          the current source schema on every call;
         * affected sources' candidate sets are regenerated through the
           retrieval layer -- unaffected sources keep their pair sets, so
           their unchanged encodings hit the engine's fingerprint score
@@ -268,8 +269,6 @@ class LearnedSchemaMatcher:
 
             stale = effect.stale_refs | effect.text_changed
             featurizer_dropped = self.pipeline.invalidate_refs(stale)
-            if effect.retyped:
-                self.adjuster.invalidate_dtype_mask()
             remap = getattr(self.strategy, "apply_renames", None)
             if callable(remap):
                 remap(effect.renamed, effect.dropped)

@@ -19,23 +19,43 @@ import numpy as np
 
 from .. import obs
 from ..schema.graph import JoinGraph
-from ..schema.model import Schema
+from ..schema.model import AttributeRef, DataType, Schema
 from .candidates import CandidateStore
+
+#: A data type's integer code is its position in the enum.
+_DTYPE_CODE: dict[DataType, int] = {dtype: code for code, dtype in enumerate(DataType)}
+#: ``_COMPATIBLE[a, b]`` is ``is_compatible`` of the types coded ``a`` and
+#: ``b``.  Built once from :meth:`DataType.is_compatible`, so a pair's
+#: compatibility is a table lookup on its two dtype codes, not a Python call.
+_COMPATIBLE = np.array(
+    [[source.is_compatible(target) for target in DataType] for source in DataType],
+    dtype=bool,
+)
+
+
+def _dtype_codes(schema: Schema, refs: list[AttributeRef]) -> np.ndarray:
+    """Integer dtype code of each attribute in ``refs``."""
+    codes = [_DTYPE_CODE[schema.attribute(ref).dtype] for ref in refs]
+    return np.array(codes, dtype=np.intp)
+
+
+def _pair_dtype_mask(store: CandidateStore, target_codes: np.ndarray) -> np.ndarray:
+    """Per-pair compatibility: gathers over the store's current pair layout.
+
+    Source codes are read from the store's *current* source schema on every
+    call, so retyped, renamed, added and dropped columns are always seen.
+    """
+    source_codes = _dtype_codes(store.source_schema, store.source_refs)
+    return _COMPATIBLE[
+        source_codes[store.pair_source], target_codes[store.pair_target]
+    ]
 
 
 def dtype_compatibility_mask(store: CandidateStore) -> np.ndarray:
     """Boolean mask, True where the pair's data types are compatible."""
-    source_dtypes = [
-        store.source_schema.attribute(ref).dtype for ref in store.source_refs
-    ]
-    target_dtypes = [
-        store.target_schema.attribute(ref).dtype for ref in store.target_refs
-    ]
-    compatibility = np.zeros((len(source_dtypes), len(target_dtypes)), dtype=bool)
-    for i, source_dtype in enumerate(source_dtypes):
-        for j, target_dtype in enumerate(target_dtypes):
-            compatibility[i, j] = source_dtype.is_compatible(target_dtype)
-    return compatibility[store.pair_source, store.pair_target]
+    return _pair_dtype_mask(
+        store, _dtype_codes(store.target_schema, store.target_refs)
+    )
 
 
 def entity_penalty(distance: int) -> float:
@@ -44,7 +64,13 @@ def entity_penalty(distance: int) -> float:
 
 
 class ScoreAdjuster:
-    """Applies the dtype filter and the new-entity penalty to raw scores."""
+    """Applies the dtype filter and the new-entity penalty to raw scores.
+
+    Both corrections cost O(pairs) array gathers per call.  The target side
+    (ISS dtype codes and entity codes) is fixed at construction: the store's
+    target attributes never change.  The source side is re-read from the
+    store on every call, so schema drift needs no invalidation here.
+    """
 
     def __init__(
         self,
@@ -56,65 +82,37 @@ class ScoreAdjuster:
         self.store = store
         self.apply_dtype_filter = apply_dtype_filter
         self.apply_entity_penalty = apply_entity_penalty
-        self._dtype_mask: np.ndarray | None = None
-        self._dtype_mask_key: tuple[bytes, bytes] | None = None
         self._join_graph = JoinGraph(target_schema) if apply_entity_penalty else None
-        self._target_entities = [ref.entity for ref in store.target_refs]
-
-    def _pair_fingerprint(self) -> tuple[bytes, bytes]:
-        """Identity of the store's current pair layout (order-sensitive)."""
-        return (self.store.pair_source.tobytes(), self.store.pair_target.tobytes())
-
-    def _current_dtype_mask(self) -> np.ndarray:
-        """Dtype mask aligned with the store's current pair layout.
-
-        Keyed on the pair index arrays themselves, not their length: a
-        count-preserving mutation (prune one pair, ``ensure_pair`` another)
-        changes which pair sits at each row, and a length-keyed cache would
-        silently zero the wrong candidates.
-        """
-        key = self._pair_fingerprint()
-        if self._dtype_mask is None or key != self._dtype_mask_key:
-            self._dtype_mask = dtype_compatibility_mask(self.store)
-            self._dtype_mask_key = key
-        return self._dtype_mask
-
-    def invalidate_dtype_mask(self) -> None:
-        """Force a dtype-mask rebuild on the next :meth:`adjust`.
-
-        The mask key is the pair *index* arrays, which cannot see a retyped
-        column: the pair layout is unchanged while the compatibility matrix
-        is not.  Schema drift must call this explicitly or retyped columns
-        keep filtering against their old dtype.
-        """
-        self._dtype_mask = None
-        self._dtype_mask_key = None
+        self._target_dtype_codes = _dtype_codes(store.target_schema, store.target_refs)
+        target_entities = [ref.entity for ref in store.target_refs]
+        self._entities = list(dict.fromkeys(target_entities))
+        entity_code = {entity: code for code, entity in enumerate(self._entities)}
+        self._target_entity_codes = np.array(
+            [entity_code[entity] for entity in target_entities], dtype=np.intp
+        )
 
     def adjust(self, scores: np.ndarray) -> np.ndarray:
         """Return the adjusted copy of ``scores`` (input is not mutated)."""
-        adjusted = scores.astype(np.float64).copy()
+        adjusted = scores.astype(np.float64)
+        mask = None
         if self.apply_dtype_filter:
-            adjusted[~self._current_dtype_mask()] = 0.0
+            mask = _pair_dtype_mask(self.store, self._target_dtype_codes)
+            adjusted[~mask] = 0.0
         if self._join_graph is not None:
             matched_entities = self.store.matched_target_entities()
             if matched_entities:
-                penalties = {
-                    entity: entity_penalty(
-                        self._join_graph.distance_to_set(entity, matched_entities)
-                    )
-                    for entity in set(self._target_entities)
-                    if entity not in matched_entities
-                }
-                if penalties:
-                    factor = np.asarray(
-                        [
-                            penalties.get(self._target_entities[int(t)], 1.0)
-                            for t in self.store.pair_target
-                        ]
-                    )
-                    adjusted *= factor
-        if obs.enabled() and self.apply_dtype_filter:
-            mask = self._current_dtype_mask()
+                # One factor per entity (exactly 1.0 for matched ones, at
+                # distance 0), gathered per pair through its target's entity.
+                penalty = np.array(
+                    [
+                        entity_penalty(
+                            self._join_graph.distance_to_set(entity, matched_entities)
+                        )
+                        for entity in self._entities
+                    ]
+                )
+                adjusted *= penalty[self._target_entity_codes[self.store.pair_target]]
+        if obs.enabled() and mask is not None:
             obs.check(
                 "scoring.dtype_mask_aligned",
                 mask.shape[0] == self.store.num_pairs,
