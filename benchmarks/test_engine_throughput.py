@@ -1,13 +1,10 @@
-"""Engine throughput smoke: bucketing beats naive, int8 beats bucketed.
+"""Engine throughput smoke: length-bucketed micro-batches beat one padded batch.
 
 A skewed-length synthetic schema (many short attribute names, a handful of
-long-description pairs) is scored three ways: the monolithic batch padded
-to the longest pair, the engine's length-bucketed float32 plan, and the
-bucketed plan on the int8 rung (``quant_mode="on"``).  Bucketing must win
-because attention cost is quadratic in the padded length; the int8 rung
-must win again because its kernels (LUT nonlinearities + quantized GEMMs)
-are cheaper per token.  The combined datapoint is ``BENCH_engine.json``,
-including the ranking-space parity gate over the public datasets.
+long-description pairs) is scored two ways: the monolithic batch padded to
+the longest pair, and the engine's length-bucketed plan.  Bucketing must
+win because attention cost is quadratic in the padded length, with scores
+equal to the monolithic batch's.  The datapoint is ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from _emit import emit_benchmark
 from conftest import register_report
 
 from repro.engine import EngineConfig, ScoringEngine
-from repro.eval.quant import activate_channel_path, quant_gate_reports
 from repro.eval.reporting import render_table
 from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
 from repro.lm.bert import MiniBert
@@ -31,8 +27,6 @@ MAX_LENGTH = 64
 #: description-bearing pairs -- the shape bucketing exists for.
 LENGTH_PROFILE = [(6, 96), (10, 96), (14, 48), (30, 12), (60, 12)]
 REPEATS = 3
-#: Tentpole acceptance bar: int8 rung over bucketed float32.
-MIN_QUANT_SPEEDUP = 2.0
 
 WORKLOAD = {
     "pairs": sum(count for _, count in LENGTH_PROFILE),
@@ -68,9 +62,6 @@ def bench_workload():
     model.eval()
     classifier = MatchingClassifier(32, 16, np.random.default_rng(2))
     classifier.eval()
-    # Non-silent channel path, so int8-vs-float32 deviations recorded below
-    # actually flow through the quantized encoder (see repro.eval.quant).
-    activate_channel_path(classifier, seed=3)
     return encoded, model, classifier, [0, 1, 2, 3, 4]
 
 
@@ -104,6 +95,7 @@ def test_bucketed_batching_beats_naive_single_batch():
     try:
         naive_scores = run_naive()  # warm both paths before timing
         bucketed_scores = run_bucketed()
+        deviation = float(np.abs(bucketed_scores - naive_scores).max())
         np.testing.assert_allclose(bucketed_scores, naive_scores, atol=1e-8, rtol=0)
         naive_seconds = best_of(run_naive)
         bucketed_seconds = best_of(run_bucketed)
@@ -122,76 +114,16 @@ def test_bucketed_batching_beats_naive_single_batch():
         )
     )
 
-    # The whole point of bucketing: short pairs stop paying MAX_LENGTH
-    # padding.  Demand a real margin, not a tie.
-    assert bucketed_seconds < naive_seconds, (naive_seconds, bucketed_seconds)
-
-
-def test_int8_rung_beats_bucketed_float32():
-    encoded, model, classifier, special_ids = bench_workload()
-
-    times: dict[str, float] = {}
-    scores: dict[str, np.ndarray] = {}
-    for mode in ("off", "on"):
-        engine = ScoringEngine(
-            model,
-            classifier,
-            special_ids,
-            EngineConfig(microbatch_size=64, bucket_granularity=8,
-                         persist_scores=False, n_workers=0, quant_mode=mode),
-        )
-
-        def run() -> np.ndarray:
-            engine.clear_cached_scores()
-            return engine.score_encoded(encoded)
-
-        try:
-            scores[mode] = run()  # warm (builds the quantized scorer once)
-            times[mode] = best_of(run)
-            if mode == "on":
-                engine_stats = engine.stats.as_dict()
-        finally:
-            engine.close()
-
-    speedup = times["off"] / times["on"]
-    deviation = float(np.abs(scores["on"] - scores["off"]).max())
-    assert engine_stats["quant_batches"] > 0, engine_stats
-    assert engine_stats["quant_fallbacks"] == 0, engine_stats
-
-    # Ranking-space parity over the public ground-truth datasets: the int8
-    # rung ships only if users cannot tell (identical top-1, AUC within
-    # epsilon) -- see repro.eval.quant.
-    parity = [report.as_dict() for report in quant_gate_reports()]
-
-    register_report(
-        render_table(
-            ["path", "wall-clock (s)", "speedup"],
-            [
-                ["bucketed float32", f"{times['off']:.4f}", "1.00x"],
-                ["bucketed int8 rung", f"{times['on']:.4f}", f"{speedup:.2f}x"],
-            ],
-            title=(
-                f"Int8 inference rung -- {len(encoded)} skewed-length pairs, "
-                f"parity gate on {len(parity)} datasets"
-            ),
-        )
-    )
-
     datapoint = emit_benchmark(
         "BENCH_engine.json",
-        benchmark="engine_quant",
+        benchmark="engine_bucketing",
         workload=WORKLOAD,
-        baseline_seconds=times["off"],
-        fast_seconds=times["on"],
-        gate={
-            "min_speedup": MIN_QUANT_SPEEDUP,
-            "max_score_deviation": deviation,
-            "quant_batches": engine_stats["quant_batches"],
-            "quant_fallbacks": engine_stats["quant_fallbacks"],
-            "parity": parity,
-        },
-        extra={"baseline": "bucketed float32 engine", "fast": "int8 rung (quant_mode=on)"},
+        baseline_seconds=naive_seconds,
+        fast_seconds=bucketed_seconds,
+        gate={"bucketed_faster": True, "max_score_deviation": deviation},
+        extra={"baseline": "naive single batch", "fast": "bucketed micro-batches"},
     )
 
-    assert speedup >= MIN_QUANT_SPEEDUP, datapoint
-    assert all(report["passed"] for report in parity), datapoint
+    # The whole point of bucketing: short pairs stop paying MAX_LENGTH
+    # padding.
+    assert bucketed_seconds < naive_seconds, datapoint

@@ -7,30 +7,24 @@ Public surface:
 * :func:`plan_microbatches` / :class:`MicroBatch` -- length-bucketed batch
   planning (usable standalone);
 * :class:`ShmServingPlane` / :class:`WeightArena` -- the persistent
-  shared-memory serving plane (zero-respawn weight hot-swap);
-* :class:`MicroBatchExecutor` -- the spawn-safe pickle-payload worker pool
-  (the serving ladder's middle rung);
-* :class:`RetryGate` -- bounded retry policy for best-effort pool creation;
-* :class:`QuantizedScorer` -- the int8 inference rung (quantize-on-publish);
-* :class:`KernelAutotuner` -- the per-shape execution-strategy autotuner.
+  shared-memory serving plane (zero-respawn weight hot-swap), the top rung
+  of the serving ladder above in-process scoring;
+* :class:`RetryGate` -- bounded retry policy for best-effort pool creation.
 """
 
-from .autotune import FLOAT32_DECISION, KernelAutotuner, machine_fingerprint, shape_key
 from .batching import (
     MicroBatch,
     bucket_key,
     plan_bucket_chunks,
     plan_microbatches,
     plan_num_buckets,
-    split_batch,
 )
 from .engine import FINGERPRINT_BYTES, EngineConfig, ScoringEngine, fingerprint_encoded
-from .executor import MicroBatchExecutor, RetryGate, make_worker_payload
-from .quant import QUANT_PREFIX, QuantizedScorer, has_quant_views
 from .shm import (
     ArenaClient,
     ArenaError,
     ArenaManifest,
+    RetryGate,
     ScratchRegion,
     ShmServingPlane,
     WeightArena,
@@ -46,12 +40,7 @@ __all__ = [
     "EngineConfig",
     "EngineStats",
     "FINGERPRINT_BYTES",
-    "FLOAT32_DECISION",
-    "KernelAutotuner",
     "MicroBatch",
-    "MicroBatchExecutor",
-    "QUANT_PREFIX",
-    "QuantizedScorer",
     "RetryGate",
     "ScoringEngine",
     "ScratchRegion",
@@ -59,14 +48,9 @@ __all__ = [
     "WeightArena",
     "bucket_key",
     "fingerprint_encoded",
-    "has_quant_views",
     "live_segment_names",
-    "machine_fingerprint",
-    "make_worker_payload",
     "plan_bucket_chunks",
     "plan_microbatches",
     "plan_num_buckets",
-    "shape_key",
     "shared_memory_available",
-    "split_batch",
 ]

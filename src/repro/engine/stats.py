@@ -1,7 +1,7 @@
 """Per-stage timing counters of the scoring engine.
 
 Every expensive step of a scoring pass (encoding, fingerprinting, bucket
-planning, forward passes, worker dispatch, persistence) runs under a named
+planning, forward passes, arena publishes, persistence) runs under a named
 :meth:`EngineStats.timer` block, and every skip/score decision increments a
 counter.  The counters are the engine's observability surface: the parity
 and incremental-rescoring tests assert on them, and ``repro engine stats``
@@ -32,15 +32,15 @@ class EngineStats:
     buckets: int = 0
     #: Micro-batches executed (in-process + workers).
     microbatches: int = 0
-    #: Micro-batches executed by pool workers (shm or pickle pool).
+    #: Micro-batches executed by shared-memory pool workers.
     worker_batches: int = 0
     #: Micro-batches executed on the persistent shared-memory pool.
     shm_batches: int = 0
     #: Micro-batches executed in-process (n_workers=0, small batches, fallback).
     inprocess_batches: int = 0
-    #: Times the worker pool failed and the engine fell back in-process.
+    #: Pool-eligible plans that ended up scored in-process.
     worker_fallbacks: int = 0
-    #: Times the shm serving plane failed and the engine fell down the ladder.
+    #: Times the shm serving plane was tried and failed.
     shm_fallbacks: int = 0
     #: Weight publishes into the shared-memory arena.
     publishes: int = 0
@@ -55,16 +55,6 @@ class EngineStats:
     invalidations: int = 0
     #: Calls to ``score_encoded`` plus calls to ``score_halves``.
     scoring_calls: int = 0
-    #: Micro-batches executed on the int8 quantized rung.
-    quant_batches: int = 0
-    #: Micro-batches the int8 rung refused or failed, falling back to float32.
-    quant_fallbacks: int = 0
-    #: Autotune passes that measured at least one new shape.
-    autotune_runs: int = 0
-    #: Distinct (length, rows) shapes measured by the kernel autotuner.
-    autotune_shapes: int = 0
-    #: Engine startups whose autotune plan loaded from the persisted store.
-    autotune_cache_hits: int = 0
     #: Wall-clock seconds per named stage.
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Invocations per named stage.

@@ -102,9 +102,9 @@ class MatchingClassifier(Module):
 
 # -- pure scoring functions ------------------------------------------------------
 #
-# Module-level so the scoring engine's worker processes (repro.engine.executor)
-# can run the exact same code path as the in-process featurizer: workers
-# rebuild (model, classifier) from a state dict and call score_encoded_batch.
+# Module-level so the scoring engine's shared-memory workers (repro.engine.shm)
+# run the exact same code path as the in-process featurizer: workers bind
+# (model, classifier) to the published weights and call score_encoded_batch.
 
 
 def segment_content_masks(

@@ -12,82 +12,67 @@ import numpy as np
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi).astype(np.float32)
 
 
+def _gelu_inner(x: np.ndarray) -> np.ndarray:
+    """``sqrt(2/pi) * (x + 0.044715 x^3)``, built in one fresh buffer.
+
+    The cube is two multiplies, never ``x**3``: numpy routes a float32
+    ``**3`` through libm ``pow``, about 80x slower than ``x*x*x`` on
+    activation-sized tensors, and GELU runs on every FFN activation of every
+    forward and backward pass.  Python-float scalars keep the input dtype.
+    """
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _SQRT_2_OVER_PI
+    return inner
+
+
 def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """GELU with the tanh approximation used by BERT.
 
     Returns ``(output, x)``; the input is the backward cache.
     """
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-    output = 0.5 * x * (1.0 + np.tanh(inner))
+    output = _gelu_inner(x)
+    np.tanh(output, out=output)
+    output += 1.0
+    output *= x
+    output *= 0.5
     return output, x
 
 
 def gelu_backward(grad_output: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Derivative of the tanh-approximated GELU."""
-    inner = _SQRT_2_OVER_PI * (x + 0.044715 * x**3)
-    tanh_inner = np.tanh(inner)
-    sech2 = 1.0 - tanh_inner**2
-    d_inner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * x**2)
-    derivative = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-    return grad_output * derivative
+    """Derivative of the tanh-approximated GELU.
 
-
-#: Table resolution of the quantized-activation nonlinearities below; 256
-#: entries make the gather index an exact uint8 cast.
-LUT_LEVELS = 256
-
-
-def gelu_lut(x: np.ndarray) -> np.ndarray:
-    """GELU on symmetrically quantized activations (the int8 rung's GELU).
-
-    The input is quantized per tensor to 255 symmetric levels
-    (``step = max|x| / 127``) and the exact tanh-approximated GELU is
-    evaluated once per level; the activation itself is then a uint8 gather.
-    This *is* the quantized nonlinearity -- the tanh/x^3 libm calls of
-    :func:`gelu` dominate the float32 forward pass at MiniBERT sizes, and
-    the table evaluation amortises them over the whole tensor.  Error is
-    bounded by ``max|gelu'| * step / 2``; the ranking-space parity gate
-    (``repro.eval.quant``) governs acceptability end to end.
+    ``0.5 (1 + t) + 0.5 x (1 - t^2) sqrt(2/pi) (1 + 3 * 0.044715 x^2)`` with
+    ``t = tanh(inner)``.  Both ``t`` and ``1 - t^2`` come from one
+    ``e = exp(-2|inner|)``: ``|t| = (1 - e) / (1 + e)`` and
+    ``1 - t^2 = 4e / (1 + e)^2``.  Subtracting a rounded ``t^2`` from 1 would
+    lose every significant digit once ``|t|`` rounds to within an ulp of 1,
+    an error the ``0.5 x`` factor then amplifies past 1e-6.
     """
-    peak = float(np.abs(x).max()) if x.size else 0.0
-    if peak == 0.0 or not np.isfinite(peak):
-        return gelu(x)[0]
-    step = np.float32(peak / 127.0)
-    grid = (np.arange(LUT_LEVELS, dtype=np.float32) - 127.0) * step
-    table = gelu(grid)[0]
-    index = (x * np.float32(1.0 / step) + np.float32(127.5)).astype(np.uint8)
-    return table[index]
-
-
-def masked_softmax_lut(scores: np.ndarray, key_mask: np.ndarray) -> np.ndarray:
-    """Attention softmax over quantized scores with the mask as a multiply.
-
-    Mathematically, softmax over ``scores + (1 - mask) * MASK_BIAS`` equals
-    ``exp(scores) * mask / sum(exp(scores) * mask)`` -- masked keys
-    contribute exactly zero either way -- so the additive bias pass of the
-    float path is replaced by one broadcast multiply.  ``exp`` is evaluated
-    on a 256-level grid spanning the batch's score range (shifted by the
-    maximum for stability) and gathered per element.
-
-    ``scores`` has shape (B, H, Tq, Tk); ``key_mask`` broadcasts against it
-    with 1.0 for real keys and 0.0 for padding.
-    """
-    high = float(scores.max()) if scores.size else 0.0
-    low = float(scores.min()) if scores.size else 0.0
-    if not (np.isfinite(high) and np.isfinite(low)):
-        exp = np.exp(scores - high) * key_mask
-        return exp / np.maximum(exp.sum(axis=-1, keepdims=True), 1e-30)
-    step = np.float32(max(high - low, 1e-6) / (LUT_LEVELS - 1))
-    grid = np.arange(LUT_LEVELS, dtype=np.float32) * step + np.float32(low - high)
-    table = np.exp(grid)
-    index = (
-        (scores - np.float32(low)) * np.float32(1.0 / step) + np.float32(0.5)
-    ).astype(np.uint8)
-    exp = table[index] * key_mask
-    denominator = exp.sum(axis=-1, keepdims=True)
-    np.maximum(denominator, 1e-30, out=denominator)
-    exp *= 1.0 / denominator
-    return exp
+    inner = _gelu_inner(x)
+    e = np.abs(inner)
+    e *= -2.0
+    np.exp(e, out=e)
+    denominator = e + 1.0
+    sech2 = e * 4.0
+    sech2 /= denominator
+    sech2 /= denominator
+    tanh_inner = np.subtract(1.0, e, out=e)
+    tanh_inner /= denominator
+    np.copysign(tanh_inner, inner, out=tanh_inner)
+    d_inner = np.multiply(x, x, out=inner)
+    d_inner *= 3 * 0.044715
+    d_inner += 1.0
+    d_inner *= _SQRT_2_OVER_PI
+    d_inner *= sech2
+    d_inner *= x
+    tanh_inner += 1.0
+    d_inner += tanh_inner
+    d_inner *= 0.5
+    d_inner *= grad_output
+    return d_inner
 
 
 def relu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

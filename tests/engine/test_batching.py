@@ -1,4 +1,4 @@
-"""Unit tests: bucket planning, padding trim and executor fallback."""
+"""Unit tests: bucket planning, padding trim and in-process fallback."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    MicroBatchExecutor,
     ScoringEngine,
     bucket_key,
     fingerprint_encoded,
@@ -123,11 +122,26 @@ def tiny_stack():
 
 
 class TestExecutorFallback:
-    def test_zero_workers_is_unavailable(self):
-        executor = MicroBatchExecutor(0)
-        assert not executor.available
-        assert not executor.ensure_pool(b"", 0)
-        assert executor.map([]) is None
+    def test_zero_workers_is_unavailable(self, tiny_stack):
+        from repro.engine import ShmServingPlane
+
+        plane = ShmServingPlane(
+            n_workers=0, start_method="spawn", bootstrap_extra={}, scratch_min_bytes=0
+        )
+        try:
+            assert not plane.usable
+            assert plane.score([], 0, list, None) is None
+        finally:
+            plane.close()
+        model, classifier, special_ids = tiny_stack
+        engine = ScoringEngine(
+            model, classifier, special_ids,
+            EngineConfig(n_workers=0, persist_scores=False),
+        )
+        try:
+            assert engine._plane is None
+        finally:
+            engine.close()
 
     def test_broken_start_method_falls_back_in_process(self, tiny_stack):
         model, classifier, special_ids = tiny_stack

@@ -1,10 +1,11 @@
-"""Fault injection for the serving ladder: every rung degrades, none errors.
+"""Fault injection for the serving ladder: the shm rung degrades, never errors.
 
-Covers the :class:`RetryGate` policy, lazy payload construction, pool
-recovery after transient creation failures, worker death mid-map, shm
-segment-creation failure (falls to the pickle rung) and the fully disabled
-shm plane (``REPRO_DISABLE_SHM``) -- each case asserting bit-identical
-scores, the right fallback counters and no leaked ``/dev/shm`` segments.
+Covers the :class:`RetryGate` policy and its use by the shm plane's pool
+creation, worker death mid-map, shm segment-creation failure and the fully
+disabled shm plane
+(``REPRO_DISABLE_SHM``) -- each falling back to in-process scoring with
+scores bit-identical to an in-process engine, the right fallback counters
+and no leaked ``/dev/shm`` segments.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import pytest
 
 from repro.engine import (
     EngineConfig,
-    MicroBatchExecutor,
     RetryGate,
     ScoringEngine,
+    ShmServingPlane,
     live_segment_names,
 )
 from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
@@ -96,18 +97,80 @@ class _FailNTimesContext:
             self.remaining_failures -= 1
             raise OSError("synthetic resource blip")
         self.pools_created += 1
-        return _StubPool()
+        return _HealthyPool()
 
 
-class _StubPool:
-    def map(self, fn, tasks, chunksize=1):
-        return [fn(task) for task in tasks]
+class _HealthyPool:
+    """A pool whose workers all answer the plane's post-spawn health ping."""
+
+    def map_async(self, fn, tasks):
+        return _Ready([True for _ in tasks])
 
     def terminate(self):
         pass
 
     def join(self):
         pass
+
+
+class _Ready:
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def get(self, timeout=None):
+        return self.value
+
+
+class TestPlanePoolRetry:
+    """Pool creation on the shm plane goes through the bounded RetryGate."""
+
+    def make_plane(self, cooldown: int, max_failures: int) -> ShmServingPlane:
+        return ShmServingPlane(
+            n_workers=2,
+            start_method="spawn",
+            bootstrap_extra={
+                "bert_config": {},
+                "hidden_size": 16,
+                "classifier_size": 8,
+                "special_ids": [0],
+            },
+            scratch_min_bytes=0,
+            retry_cooldown=cooldown,
+            max_pool_failures=max_failures,
+        )
+
+    def test_transient_creation_failure_recovers_after_cooldown(self, monkeypatch):
+        import multiprocessing
+
+        context = _FailNTimesContext(failures=1)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+        plane = self.make_plane(cooldown=2, max_failures=3)
+        try:
+            assert not plane._ensure_pool()
+            assert plane.usable  # not sticky-broken
+            # Two eligible calls ride out the cooldown, the third spawns.
+            assert not plane._ensure_pool()
+            assert not plane._ensure_pool()
+            assert plane._ensure_pool()
+            assert context.pools_created == 1
+        finally:
+            plane.close()
+        assert not live_segment_names()
+
+    def test_repeated_failures_exhaust_the_gate(self, monkeypatch):
+        import multiprocessing
+
+        context = _FailNTimesContext(failures=99)
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
+        plane = self.make_plane(cooldown=0, max_failures=2)
+        try:
+            assert not plane._ensure_pool()
+            assert not plane._ensure_pool()
+            assert plane._gate.exhausted
+            assert not plane.usable
+        finally:
+            plane.close()
+        assert not live_segment_names()
 
 
 class _ExplodingPool:
@@ -123,57 +186,6 @@ class _ExplodingPool:
         pass
 
 
-class TestExecutorRetry:
-    def test_payload_factory_only_called_on_rebuild(self, monkeypatch):
-        import multiprocessing
-
-        context = _FailNTimesContext(failures=0)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        executor = MicroBatchExecutor(2)
-        calls = {"count": 0}
-
-        def factory() -> bytes:
-            calls["count"] += 1
-            return b"payload"
-
-        assert executor.ensure_pool(factory, version=0)
-        assert calls["count"] == 1
-        # Same version, pool alive: the factory must not run again.
-        assert executor.ensure_pool(factory, version=0)
-        assert calls["count"] == 1
-        # New version: rebuild, factory runs once more.
-        assert executor.ensure_pool(factory, version=1)
-        assert calls["count"] == 2
-        executor.close()
-
-    def test_transient_creation_failure_recovers_after_cooldown(self, monkeypatch):
-        import multiprocessing
-
-        context = _FailNTimesContext(failures=1)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        executor = MicroBatchExecutor(2, retry_cooldown=2, max_pool_failures=3)
-
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert executor.available  # not sticky-broken anymore
-        # Two eligible calls ride out the cooldown, the third rebuilds.
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert executor.ensure_pool(b"payload", version=0)
-        assert context.pools_created == 1
-        executor.close()
-
-    def test_repeated_failures_exhaust_the_gate(self, monkeypatch):
-        import multiprocessing
-
-        context = _FailNTimesContext(failures=99)
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: context)
-        executor = MicroBatchExecutor(2, retry_cooldown=0, max_pool_failures=2)
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert not executor.ensure_pool(b"payload", version=0)
-        assert executor._gate.exhausted
-        assert not executor.available
-
-
 class TestLadderFaults:
     """End-to-end: induced faults fall down the ladder, scores stay exact."""
 
@@ -181,32 +193,44 @@ class TestLadderFaults:
         model, classifier, special_ids = tiny_stack
         return score_encoded_batch(model, classifier, special_ids, stack_encoded(encoded))
 
+    def _inprocess(self, tiny_stack, encoded) -> np.ndarray:
+        """Scores of an engine without workers, on the same micro-batch plan."""
+        model, classifier, special_ids = tiny_stack
+        config = EngineConfig(n_workers=0, microbatch_size=2, persist_scores=False)
+        engine = ScoringEngine(model, classifier, special_ids, config)
+        try:
+            return engine.score_encoded(encoded)
+        finally:
+            engine.close()
+
     def test_worker_death_mid_map_falls_back_with_parity(self, tiny_stack, encoded):
         model, classifier, special_ids = tiny_stack
         config = EngineConfig(
             n_workers=2,
             min_pairs_for_workers=1,
             microbatch_size=2,
-            use_shm=False,
             persist_scores=False,
         )
         engine = ScoringEngine(model, classifier, special_ids, config)
         try:
+            assert engine._plane is not None
             # Plant a live-looking pool that dies on first use.
-            engine._executor._pool = _ExplodingPool()
-            engine._executor._payload_version = engine.model_version
+            engine._plane._pool = _ExplodingPool()
             scores = engine.score_encoded(encoded)
             np.testing.assert_allclose(
                 scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
             )
+            np.testing.assert_array_equal(scores, self._inprocess(tiny_stack, encoded))
+            assert engine.stats.shm_fallbacks == 1
             assert engine.stats.worker_fallbacks == 1
             assert engine.stats.inprocess_batches > 0
             # The dead pool was torn down, not left to poison later calls.
-            assert engine._executor._pool is None
+            assert engine._plane._pool is None
         finally:
             engine.close()
+        assert not live_segment_names()
 
-    def test_shm_segment_creation_failure_falls_to_pickle_pool(
+    def test_shm_segment_creation_failure_falls_back_in_process(
         self, tiny_stack, encoded, monkeypatch
     ):
         from repro.engine import shm as shm_module
@@ -226,11 +250,13 @@ class TestLadderFaults:
             np.testing.assert_allclose(
                 scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
             )
-            # The shm rung failed once, the pickle pool served the plan.
+            np.testing.assert_array_equal(scores, self._inprocess(tiny_stack, encoded))
+            # The shm rung failed once and the plan was scored in-process.
             assert engine.stats.shm_fallbacks == 1
             assert engine.stats.shm_batches == 0
-            assert engine.stats.worker_batches > 0
-            assert engine.stats.worker_fallbacks == 0
+            assert engine.stats.worker_batches == 0
+            assert engine.stats.worker_fallbacks == 1
+            assert engine.stats.inprocess_batches > 0
         finally:
             engine.close()
         assert not live_segment_names()
@@ -251,8 +277,11 @@ class TestLadderFaults:
             np.testing.assert_allclose(
                 scores, self._reference(tiny_stack, encoded), atol=1e-8, rtol=0
             )
+            np.testing.assert_array_equal(scores, self._inprocess(tiny_stack, encoded))
             assert engine.stats.shm_batches == 0
-            assert engine.stats.worker_batches > 0
+            assert engine.stats.worker_batches == 0
+            assert engine.stats.worker_fallbacks == 1
+            assert engine.stats.inprocess_batches > 0
             info = engine.serving_info()
             assert info["serving.shm_available"] is False
         finally:

@@ -1,14 +1,15 @@
-"""Tests for the ``repro.lm.cache`` compatibility shim.
+"""Tests for the module-level function API of ``repro.store``.
 
-The implementation moved to ``repro.store``; these tests pin the original
-function API — plus the repaired semantics: corrupt entries are a miss, not
-an exception, and ``clear_cache`` sweeps the whole directory.
+These pin the artifact-cache functions the pipeline calls
+(``content_key``, ``save_arrays``/``load_arrays``, ``save_json``/``load_json``,
+``clear_cache``) -- plus the repaired semantics: corrupt entries are a miss,
+not an exception, and ``clear_cache`` sweeps the whole directory.
 """
 
 import numpy as np
 import pytest
 
-from repro.lm import cache
+from repro import store
 
 
 @pytest.fixture(autouse=True)
@@ -19,16 +20,16 @@ def isolated_cache(tmp_path, monkeypatch):
 
 class TestContentKey:
     def test_deterministic(self):
-        assert cache.content_key("a", [1, 2], {"x": 1}) == cache.content_key(
+        assert store.content_key("a", [1, 2], {"x": 1}) == store.content_key(
             "a", [1, 2], {"x": 1}
         )
 
     def test_sensitive_to_content(self):
-        assert cache.content_key("a") != cache.content_key("b")
-        assert cache.content_key([1, 2]) != cache.content_key([2, 1])
+        assert store.content_key("a") != store.content_key("b")
+        assert store.content_key([1, 2]) != store.content_key([2, 1])
 
     def test_dict_key_order_irrelevant(self):
-        assert cache.content_key({"a": 1, "b": 2}) == cache.content_key(
+        assert store.content_key({"a": 1, "b": 2}) == store.content_key(
             {"b": 2, "a": 1}
         )
 
@@ -36,59 +37,60 @@ class TestContentKey:
 class TestArrayCache:
     def test_round_trip(self):
         arrays = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
-        cache.save_arrays("test", "key1", arrays)
-        loaded = cache.load_arrays("test", "key1")
+        store.save_arrays("test", "key1", arrays)
+        loaded = store.load_arrays("test", "key1")
         assert loaded is not None
         assert np.array_equal(loaded["w"], arrays["w"])
 
     def test_missing_returns_none(self):
-        assert cache.load_arrays("test", "nope") is None
+        assert store.load_arrays("test", "nope") is None
 
     def test_corrupt_returns_none_instead_of_raising(self):
         """The original bug: a truncated .npz raised BadZipFile from every
-        later run.  The shim must report a miss and quarantine instead."""
-        cache.save_arrays("test", "key1", {"a": np.zeros(3)})
-        path = cache.npz_path("test", "key1")
+        later run.  The store must report a miss and quarantine instead."""
+        store.save_arrays("test", "key1", {"a": np.zeros(3)})
+        path = store.default_store().array_path("test", "key1")
         path.write_bytes(path.read_bytes()[:40])
-        assert cache.load_arrays("test", "key1") is None
+        assert store.load_arrays("test", "key1") is None
         assert path.with_name(path.name + ".corrupt").exists()
 
 
 class TestJsonCache:
     def test_round_trip(self):
-        cache.save_json("test", "key2", {"tokens": ["a", "b"]})
-        assert cache.load_json("test", "key2") == {"tokens": ["a", "b"]}
+        store.save_json("test", "key2", {"tokens": ["a", "b"]})
+        assert store.load_json("test", "key2") == {"tokens": ["a", "b"]}
 
     def test_missing_returns_none(self):
-        assert cache.load_json("test", "nope") is None
+        assert store.load_json("test", "nope") is None
 
     def test_corrupt_returns_none_instead_of_raising(self):
-        cache.save_json("test", "key2", {"tokens": ["a"]})
-        cache.json_path("test", "key2").write_text('{"tokens": ["a')
-        assert cache.load_json("test", "key2") is None
+        store.save_json("test", "key2", {"tokens": ["a"]})
+        store.default_store().json_path("test", "key2").write_text('{"tokens": ["a')
+        assert store.load_json("test", "key2") is None
 
 
 def test_paths_point_into_versioned_namespace(isolated_cache):
-    assert cache.npz_path("k", "x").parent == isolated_cache / f"v{cache.FORMAT_VERSION}"
-    assert cache.json_path("k", "x").suffix == ".json"
+    namespace = isolated_cache / f"v{store.FORMAT_VERSION}"
+    assert store.default_store().array_path("k", "x").parent == namespace
+    assert store.default_store().json_path("k", "x").suffix == ".json"
 
 
 def test_clear_cache(isolated_cache):
-    cache.save_json("test", "k", [1])
-    cache.save_arrays("test", "k", {"a": np.zeros(1)})
-    removed = cache.clear_cache()
+    store.save_json("test", "k", [1])
+    store.save_arrays("test", "k", {"a": np.zeros(1)})
+    removed = store.clear_cache()
     # entries + their .sha256 sidecars + the stats ledger, at minimum
     assert removed >= 4
     leftovers = [p for p in isolated_cache.rglob("*") if p.is_file()]
     assert leftovers == []
-    assert cache.load_json("test", "k") is None
+    assert store.load_json("test", "k") is None
 
 
 def test_clear_cache_sweeps_quarantine_and_temps(isolated_cache):
-    cache.save_arrays("test", "k", {"a": np.zeros(1)})
-    path = cache.npz_path("test", "k")
+    store.save_arrays("test", "k", {"a": np.zeros(1)})
+    path = store.default_store().array_path("test", "k")
     path.write_bytes(b"rot")
-    assert cache.load_arrays("test", "k") is None  # quarantines
+    assert store.load_arrays("test", "k") is None  # quarantines
     (path.parent / ".tmp-orphan.npz").write_bytes(b"")
-    cache.clear_cache()
+    store.clear_cache()
     assert [p for p in isolated_cache.rglob("*") if p.is_file()] == []

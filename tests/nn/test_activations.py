@@ -64,6 +64,47 @@ class TestElementwise:
         assert sigmoid(np.array([0.0]))[0] == pytest.approx(0.5)
 
 
+class TestGeluFloat32:
+    """float32 ``gelu``/``gelu_backward`` against a float64 closed form."""
+
+    @staticmethod
+    def inputs() -> np.ndarray:
+        rng = np.random.default_rng(0)
+        return np.concatenate(
+            [np.linspace(-12.0, 12.0, 20001), 3.0 * rng.standard_normal(20000)]
+        ).astype(np.float32)
+
+    @staticmethod
+    def reference(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = x.astype(np.float64)
+        c = np.sqrt(2.0 / np.pi)
+        t = np.tanh(c * (x + 0.044715 * x**3))
+        value = 0.5 * x * (1.0 + t)
+        derivative = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (
+            1.0 + 3 * 0.044715 * x * x
+        )
+        return value, derivative
+
+    def test_forward_matches_closed_form(self):
+        x = self.inputs()
+        before = x.copy()
+        out, cache = gelu(x)
+        assert out.dtype == np.float32
+        assert cache is x
+        np.testing.assert_array_equal(x, before)  # input left untouched
+        assert np.abs(out - self.reference(x)[0]).max() <= 1e-6
+
+    def test_backward_matches_closed_form(self):
+        x = self.inputs()
+        grad_output = np.linspace(-2.0, 2.0, x.size).astype(np.float32)
+        before = x.copy()
+        grad = gelu_backward(grad_output, x)
+        assert grad.dtype == np.float32
+        np.testing.assert_array_equal(x, before)
+        expected = grad_output.astype(np.float64) * self.reference(x)[1]
+        assert np.abs(grad - expected).max() <= 1e-6
+
+
 class TestSoftmax:
     @settings(max_examples=30, deadline=None)
     @given(_small_arrays)

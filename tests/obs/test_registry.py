@@ -118,31 +118,27 @@ class TestStatsMerge:
         assert merged.stage_seconds["backward"] == pytest.approx(3.0)
         assert merged.stage_calls["backward"] == 2
 
-    def test_engine_stats_merge_covers_quant_counters(self):
-        """The int8 rung's counters sum like every other counter."""
-        left = EngineStats(
-            quant_batches=3, quant_fallbacks=1, autotune_runs=2
-        )
-        right = EngineStats(
-            quant_batches=4, autotune_shapes=5, autotune_cache_hits=1
-        )
+    def test_engine_stats_merge_covers_serving_counters(self):
+        """The serving plane's counters sum like every other counter."""
+        left = EngineStats(shm_batches=3, shm_fallbacks=1, hot_swaps=2)
+        right = EngineStats(shm_batches=4, publishes=5, respawns_avoided=1)
         merged = left.merge(right)
-        assert merged.quant_batches == 7
-        assert merged.quant_fallbacks == 1
-        assert merged.autotune_runs == 2
-        assert merged.autotune_shapes == 5
-        assert merged.autotune_cache_hits == 1
+        assert merged.shm_batches == 7
+        assert merged.shm_fallbacks == 1
+        assert merged.hot_swaps == 2
+        assert merged.publishes == 5
+        assert merged.respawns_avoided == 1
 
-    def test_fresh_engine_stats_render_quant_counters_as_zero(self):
+    def test_fresh_engine_stats_render_serving_counters_as_zero(self):
         """as_dict derives from the dataclass fields: new counters never
         vanish from the rendered snapshot just because they are zero."""
         rendered = EngineStats().as_dict()
         for counter in (
-            "quant_batches",
-            "quant_fallbacks",
-            "autotune_runs",
-            "autotune_shapes",
-            "autotune_cache_hits",
+            "shm_batches",
+            "shm_fallbacks",
+            "hot_swaps",
+            "publishes",
+            "respawns_avoided",
         ):
             assert counter in rendered and rendered[counter] == 0
 
@@ -153,9 +149,9 @@ class TestStatsMerge:
         via_snapshots = merge_metrics(left.as_dict(), right.as_dict())
         assert via_stats == via_snapshots
 
-    def test_merge_round_trips_with_quant_counters_set(self):
-        left = EngineStats(quant_batches=2, autotune_cache_hits=1)
-        right = EngineStats(quant_fallbacks=3, autotune_shapes=4)
+    def test_merge_round_trips_with_serving_counters_set(self):
+        left = EngineStats(shm_batches=2, respawns_avoided=1)
+        right = EngineStats(shm_fallbacks=3, publishes=4)
         via_stats = left.merge(right).as_dict()
         via_snapshots = merge_metrics(left.as_dict(), right.as_dict())
         assert via_stats == via_snapshots
