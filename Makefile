@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify test parity test-serve-slow bench-engine bench-train bench-serving bench-serve bench-retrieval bench-drift bench-encode trace-smoke perf-smoke
+.PHONY: verify test parity bench-engine bench-train bench-serve bench-retrieval bench-drift bench-encode trace-smoke perf-smoke
 
 ## Tier-1 gate: full test suite, then the engine parity suite explicitly
 ## (it is part of tests/, the second run pins it even if testpaths change).
@@ -13,11 +13,6 @@ test:
 parity:
 	$(PYTHON) -m pytest -q tests/engine/test_parity.py
 
-## Slow serving tests (tier-2): EngineBackend parity across worker counts;
-## excluded from `make test` by the `slow` marker.
-test-serve-slow:
-	$(PYTHON) -m pytest -q tests/serve -m slow
-
 ## Engine bucketing smoke (tier-2): length-bucketed micro-batches vs one
 ## batch padded to the longest pair, equal scores; emits BENCH_engine.json.
 bench-engine:
@@ -26,12 +21,6 @@ bench-engine:
 ## Training perf smoke (tier-2): emits BENCH_train.json at the repo root.
 bench-train:
 	$(PYTHON) -m pytest -q benchmarks/test_train_throughput.py
-
-## Serving-plane latency smoke (tier-2): post-update time-to-first-score,
-## hot-swap vs a pool respawned per update, at 4 workers; emits
-## BENCH_serving.json at the root.
-bench-serving:
-	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_serving_latency.py
 
 ## Serving-service load replay (tier-2): 240 interleaved requests over 16
 ## mixed-tenant sessions with hot-swaps, coalesced vs sequential; gates
@@ -62,15 +51,21 @@ bench-encode:
 trace-smoke:
 	REPRO_SKIP_WARM=1 $(PYTHON) -m pytest -q benchmarks/test_trace_smoke.py
 
-## Incremental re-match smoke (tier-2): one short `rematch` run of the repo
-## benchmark (customer D on the 10x-scaled ISS, drift deltas with retypes
-## through the dtype filter), checked against a fresh matcher.  The first run
-## in a checkout prepares its state (about four minutes).  run.py exits 0
-## even when its check fails, so this fails unless the last stdout line is
-## JSON with "correct": true.  Timings are printed, not gated.
+## Benchmark correctness smoke (tier-2): one short seed-1 run each of the
+## repo benchmark's `rematch` workload (customer D on the 10x-scaled ISS,
+## drift deltas with retypes through the dtype filter, checked against a
+## fresh matcher) and `serve` workload (open-loop traffic with hot swaps
+## through the resident model versions, served scores checked against
+## offline scoring of the pinned version).  The first run in a checkout
+## prepares its state (about four minutes).  run.py exits 0 even when its
+## check fails, so this fails unless each run's last stdout line is JSON
+## with "correct": true.  Timings are printed, not gated.
 perf-smoke:
-	$(PYTHON) perfbench/run.py --workload rematch --seed 1 --seconds 2 --trace 0 \
+	for workload in rematch serve; do \
+	$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 2 --trace 0 \
 	| $(PYTHON) -c 'import json, sys; lines = sys.stdin.read().splitlines(); \
 	print(*lines, sep="\n"); \
 	sys.exit(0 if lines and json.loads(lines[-1]).get("correct") is True \
-	else "perf-smoke: the rematch run did not report correct: true")'
+	else f"perf-smoke: the {sys.argv[1]} run did not report correct: true")' $$workload \
+	|| exit 1; \
+	done

@@ -92,15 +92,12 @@ def test_bucketed_batching_beats_naive_single_batch():
         engine.clear_cached_scores()
         return engine.score_encoded(encoded)
 
-    try:
-        naive_scores = run_naive()  # warm both paths before timing
-        bucketed_scores = run_bucketed()
-        deviation = float(np.abs(bucketed_scores - naive_scores).max())
-        np.testing.assert_allclose(bucketed_scores, naive_scores, atol=1e-8, rtol=0)
-        naive_seconds = best_of(run_naive)
-        bucketed_seconds = best_of(run_bucketed)
-    finally:
-        engine.close()
+    naive_scores = run_naive()  # warm both paths before timing
+    bucketed_scores = run_bucketed()
+    deviation = float(np.abs(bucketed_scores - naive_scores).max())
+    np.testing.assert_allclose(bucketed_scores, naive_scores, atol=1e-8, rtol=0)
+    naive_seconds = best_of(run_naive)
+    bucketed_seconds = best_of(run_bucketed)
 
     speedup = naive_seconds / bucketed_seconds
     register_report(

@@ -64,8 +64,8 @@ class LsmConfig:
     meta_l2: float = 0.5
     meta_prior_blend_full_at: int = 5
     bert: BertFeaturizerConfig = field(default_factory=BertFeaturizerConfig)
-    #: Scoring-engine knobs (micro-batching, worker parallelism, incremental
-    #: re-scoring persistence); see :class:`repro.engine.EngineConfig`.
+    #: Scoring-engine knobs (micro-batching, score persistence); see
+    #: :class:`repro.engine.EngineConfig`.
     engine: EngineConfig = field(default_factory=EngineConfig)
     update_bert_every: int = 1
     #: When set, the matcher traces its full pipeline (predict stages, the

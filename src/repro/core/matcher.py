@@ -455,16 +455,14 @@ class LearnedSchemaMatcher:
     def engine_stats(self) -> dict[str, object]:
         """Scoring-engine counters plus per-featurizer pipeline timings.
 
-        The engine counters (``pairs_skipped``, stage times, worker batches)
+        The engine counters (``pairs_skipped``, stage times, micro-batches)
         come from the BERT featurizer's :class:`repro.engine.ScoringEngine`;
-        ``serving.*`` entries describe its serving plane (shm arena version,
-        pool liveness, scratch segment); ``pipeline.<name>`` entries are
-        cumulative seconds per featurizer.
+        ``encode.*`` entries are its encode-plane counters;
+        ``pipeline.<name>`` entries are cumulative seconds per featurizer.
         """
         payload: dict[str, object] = {}
         if self.bert_featurizer is not None:
             payload.update(self.bert_featurizer.engine.stats.as_dict())
-            payload.update(self.bert_featurizer.engine.serving_info())
             payload.update(
                 {
                     f"encode.{key}": value
@@ -489,10 +487,9 @@ class LearnedSchemaMatcher:
     def close(self) -> None:
         """Release featurizer resources and finalise the trace (if any).
 
-        This tears down the scoring engine's serving plane -- the persistent
-        worker pool and every shared-memory segment it owns -- so it must be
-        called (or the matcher used as a context manager) to avoid leaking
-        ``/dev/shm`` segments past the process's lifetime.
+        This persists the encode plane's token store and closes the trace
+        file, so call it (or use the matcher as a context manager) once the
+        session is over.
         """
         self.pipeline.close()
         self.tracer.close()

@@ -1,4 +1,4 @@
-"""The batched, parallel, incremental scoring engine.
+"""The batched, incremental scoring engine.
 
 ``ScoringEngine`` owns the hot path of BERT featurization: given a list of
 encoded candidate pairs it
@@ -10,19 +10,13 @@ encoded candidate pairs it
 2. plans the remaining pairs into **length-bucketed micro-batches**
    (:mod:`repro.engine.batching`) so short names stop paying the padding
    cost of long descriptions;
-3. executes the plan down a two-rung **serving ladder** -- the persistent
-   shared-memory pool (:mod:`repro.engine.shm`: weights hot-swapped through
-   a versioned arena, workers spawned once per session), then in-process
-   float32 scoring -- falling to in-process whenever the pool is
-   unavailable, fails, or the batch is too small to amortise IPC;
+3. scores the plan in-process in float32, one micro-batch at a time;
 4. **persists score blocks** through :mod:`repro.store`, keyed by the exact
    model weights, so re-running an experiment skips straight to cached
    scores across processes.
 
 Model updates call :meth:`ScoringEngine.invalidate_model`; that bumps the
-version and drops stale scores.  With the serving plane live the new
-weights are hot-published into the shared-memory arena immediately -- the
-pool survives and workers re-bind views on their next task.
+version and drops stale scores.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ import numpy as np
 
 from .. import obs
 from ..lm.tokenizer import EncodedPair
-from . import shm
 from .batching import MicroBatch, plan_bucket_chunks, plan_microbatches, plan_num_buckets
 from .stats import EngineStats
 
@@ -55,50 +48,20 @@ class EngineConfig:
         Padded lengths are rounded up to a multiple of this; 1 packs each
         exact length separately, larger values trade padding for fewer,
         fuller batches.
-    n_workers:
-        Worker processes of the shared-memory serving plane; 0 scores
-        in-process.
-    min_pairs_for_workers:
-        Below this many dirty pairs the pool is skipped -- IPC would cost
-        more than the forward passes save.
     persist_scores:
         Persist/load score blocks through :mod:`repro.store`, keyed by the
         exact model weights and pair contents.
-    start_method:
-        Multiprocessing start method; ``spawn`` is safe everywhere.
-    shm_scratch_min_bytes:
-        Plans whose input arrays total at least this many bytes travel
-        through the reusable shared-memory scratch region instead of being
-        pickled per task.
-    pool_retry_cooldown / pool_max_failures:
-        Bounded-retry policy for pool creation: after a failure, skip this
-        many eligible scoring calls before re-attempting, giving up for good
-        after ``pool_max_failures`` consecutive failures.
     """
 
     microbatch_size: int = 64
     bucket_granularity: int = 8
-    n_workers: int = 0
-    min_pairs_for_workers: int = 64
     persist_scores: bool = True
-    start_method: str = "spawn"
-    shm_scratch_min_bytes: int = 1 << 18
-    pool_retry_cooldown: int = 8
-    pool_max_failures: int = 3
 
     def __post_init__(self) -> None:
         if self.microbatch_size < 1:
             raise ValueError("microbatch_size must be >= 1")
         if self.bucket_granularity < 1:
             raise ValueError("bucket_granularity must be >= 1")
-        if self.n_workers < 0:
-            raise ValueError("n_workers must be >= 0")
-        if self.shm_scratch_min_bytes < 0:
-            raise ValueError("shm_scratch_min_bytes must be >= 0")
-        if self.pool_retry_cooldown < 0:
-            raise ValueError("pool_retry_cooldown must be >= 0")
-        if self.pool_max_failures < 1:
-            raise ValueError("pool_max_failures must be >= 1")
 
 
 def fingerprint_encoded(pair: EncodedPair) -> bytes:
@@ -111,7 +74,7 @@ def fingerprint_encoded(pair: EncodedPair) -> bytes:
 
 
 class ScoringEngine:
-    """Batched/parallel/incremental scorer over (MiniBERT, matching classifier)."""
+    """Batched, incremental scorer over (MiniBERT, matching classifier)."""
 
     def __init__(
         self,
@@ -134,23 +97,6 @@ class ScoringEngine:
         self._scores: dict[bytes, float] = {}
         self._weights_key: str | None = None
         self._persisted_loaded = False
-        #: Top rung of the serving ladder; ``None`` without workers or shared
-        #: memory, in which case every plan scores in-process.
-        self._plane: shm.ShmServingPlane | None = None
-        if self.config.n_workers > 0 and shm.shared_memory_available():
-            self._plane = shm.ShmServingPlane(
-                n_workers=self.config.n_workers,
-                start_method=self.config.start_method,
-                bootstrap_extra={
-                    "bert_config": self.model.config.to_dict(),
-                    "hidden_size": self.model.config.hidden_size,
-                    "classifier_size": self.classifier.output.weight.value.shape[0],
-                    "special_ids": self.special_ids,
-                },
-                scratch_min_bytes=self.config.shm_scratch_min_bytes,
-                retry_cooldown=self.config.pool_retry_cooldown,
-                max_pool_failures=self.config.pool_max_failures,
-            )
 
     # -- model versioning --------------------------------------------------------
 
@@ -159,31 +105,12 @@ class ScoringEngine:
         return self._version
 
     def invalidate_model(self) -> None:
-        """Signal that model/classifier weights changed: cached scores are stale.
-
-        With a live serving plane the new weights are hot-published into the
-        shared-memory arena right here, so the persistent pool's workers
-        swap versions on their next task and the first post-update scoring
-        call pays no publish latency -- the pool is never torn down.
-        """
+        """Signal that model/classifier weights changed: cached scores are stale."""
         self._version += 1
         self._scores.clear()
         self._weights_key = None
         self._persisted_loaded = False
         self.stats.invalidations += 1
-        if self._plane is not None and self._plane.pool_active:
-            self._plane.publish(self._weight_tensors, self._version, self.stats)
-
-    def _weight_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Prefixed flat walk of the live weights, for arena publishes."""
-        from ..nn.serialize import flat_tensors
-
-        return [
-            (f"model.{name}", array) for name, array in flat_tensors(self.model)
-        ] + [
-            (f"classifier.{name}", array)
-            for name, array in flat_tensors(self.classifier)
-        ]
 
     def clear_cached_scores(self) -> None:
         """Drop cached scores without bumping the model version (testing aid)."""
@@ -251,7 +178,8 @@ class ScoringEngine:
 
     # -- scoring -----------------------------------------------------------------
 
-    def _score_plan_inprocess(self, plan) -> list[np.ndarray]:
+    def _score_plan(self, plan) -> list[np.ndarray]:
+        """Score every micro-batch of ``plan`` in-process, in plan order."""
         from ..featurizers.bert import score_encoded_batch
 
         results = []
@@ -262,55 +190,7 @@ class ScoringEngine:
                         self.model, self.classifier, self.special_ids, microbatch.batch
                     )
                 )
-            self.stats.inprocess_batches += 1
         return results
-
-    def _score_plan(self, plan) -> list[np.ndarray]:
-        """Execute a plan down the serving ladder.
-
-        Rung 1 is the persistent shared-memory pool (weights hot-swapped,
-        never respawned), rung 2 in-process scoring.  The pool is
-        best-effort: any failure falls to in-process, preserving parity.
-        """
-        total_pairs = sum(len(microbatch.indices) for microbatch in plan)
-        eligible = (
-            self.config.n_workers > 0
-            and len(plan) > 1
-            and total_pairs >= self.config.min_pairs_for_workers
-        )
-        if eligible:
-            results = self._score_plan_shm(plan)
-            if results is not None:
-                self.stats.worker_batches += len(plan)
-                self.stats.shm_batches += len(plan)
-                return results
-            self.stats.worker_fallbacks += 1
-        return self._score_plan_inprocess(plan)
-
-    def _score_plan_shm(self, plan) -> list[np.ndarray] | None:
-        """Rung 1: the persistent shared-memory serving plane."""
-        if self._plane is None or not self._plane.usable:
-            return None
-        results = self._plane.score(plan, self._version, self._weight_tensors, self.stats)
-        if results is None:
-            self.stats.shm_fallbacks += 1
-        return results
-
-    def score_plan(self, plan) -> list[np.ndarray]:
-        """Score an externally formed micro-batch plan down the serving ladder.
-
-        The multi-tenant serving front end (:mod:`repro.serve`) coalesces
-        pairs from *different* sessions into one plan before it reaches the
-        engine, so the engine cannot fingerprint-cache or re-plan here: the
-        caller owns request/result routing and cache policy.  Each returned
-        array is positionally aligned with ``plan``.
-        """
-        self.model.eval()
-        self.classifier.eval()
-        self.stats.microbatches += len(plan)
-        self.stats.buckets += plan_num_buckets(plan)
-        self.stats.pairs_scored += sum(len(mb.indices) for mb in plan)
-        return self._score_plan(plan)
 
     def score_encoded(self, encoded: list[EncodedPair]) -> np.ndarray:
         """Scores in [0, 1] for ``encoded`` rows, reusing everything reusable."""
@@ -333,8 +213,8 @@ class ScoringEngine:
         halves (so the in-memory and persisted score caches are shared with
         :meth:`score_encoded`), bucket planning reads the precomputed half
         lengths, and each dirty micro-batch is assembled directly into a
-        pooled buffer -- released back to the pool once the serving ladder
-        returns, also when scoring raises.
+        pooled buffer -- released back to the pool once scoring returns, also
+        when it raises.
         """
 
         def plan_dirty(dirty: list[int]) -> list[MicroBatch]:
@@ -363,10 +243,10 @@ class ScoringEngine:
         """The one scoring body behind :meth:`score_encoded`/:meth:`score_halves`.
 
         Fingerprints every pair, serves cached scores, plans the dirty pairs
-        (``plan_dirty`` receives their positions in ``pairs``), runs the plan
-        down the serving ladder, scatters and caches the results, and
-        persists the score block.  ``release`` is called on every planned
-        batch once scoring returns or raises.
+        (``plan_dirty`` receives their positions in ``pairs``), scores the
+        plan, scatters and caches the results, and persists the score block.
+        ``release`` is called on every planned batch once scoring returns or
+        raises.
         """
         self.stats.scoring_calls += 1
         count = len(pairs)
@@ -417,26 +297,3 @@ class ScoringEngine:
                             release(microbatch.batch)
                 self._save_persisted()
         return scores
-
-    def serving_info(self) -> dict[str, object]:
-        """Current serving-plane state (arena, pool, scratch), for the CLI."""
-        payload: dict[str, object] = {
-            "serving.shm_available": shm.shared_memory_available(),
-            "serving.n_workers": self.config.n_workers,
-        }
-        if self._plane is not None:
-            payload.update(
-                {f"serving.{key}": value for key, value in self._plane.info().items()}
-            )
-        return payload
-
-    def close(self) -> None:
-        """Release the pool and unlink every shared-memory segment (idempotent)."""
-        if self._plane is not None:
-            self._plane.close()
-
-    def __del__(self) -> None:  # best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -1,7 +1,7 @@
 """Per-stage timing counters of the scoring engine.
 
 Every expensive step of a scoring pass (encoding, fingerprinting, bucket
-planning, forward passes, arena publishes, persistence) runs under a named
+planning, forward passes, persistence) runs under a named
 :meth:`EngineStats.timer` block, and every skip/score decision increments a
 counter.  The counters are the engine's observability surface: the parity
 and incremental-rescoring tests assert on them, and ``repro engine stats``
@@ -30,27 +30,8 @@ class EngineStats:
     pairs_persisted_hits: int = 0
     #: Distinct padded-length buckets across all scoring passes.
     buckets: int = 0
-    #: Micro-batches executed (in-process + workers).
+    #: Micro-batches executed.
     microbatches: int = 0
-    #: Micro-batches executed by shared-memory pool workers.
-    worker_batches: int = 0
-    #: Micro-batches executed on the persistent shared-memory pool.
-    shm_batches: int = 0
-    #: Micro-batches executed in-process (n_workers=0, small batches, fallback).
-    inprocess_batches: int = 0
-    #: Pool-eligible plans that ended up scored in-process.
-    worker_fallbacks: int = 0
-    #: Times the shm serving plane was tried and failed.
-    shm_fallbacks: int = 0
-    #: Weight publishes into the shared-memory arena.
-    publishes: int = 0
-    #: Total bytes copied into the arena across all publishes.
-    publish_bytes: int = 0
-    #: Worker-side weight (re)binds to a freshly published arena version.
-    hot_swaps: int = 0
-    #: Weight updates absorbed by a live pool that the respawn lifecycle
-    #: would have paid a full teardown + N process spawns for.
-    respawns_avoided: int = 0
     #: Model-version bumps (weight updates invalidating cached scores).
     invalidations: int = 0
     #: Calls to ``score_encoded`` plus calls to ``score_halves``.

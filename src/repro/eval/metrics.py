@@ -76,39 +76,6 @@ def predictions_top_k_accuracy(
     return top_k_accuracy(ranked, truth, k, sources)
 
 
-def roc_auc(labels: Sequence[float], scores: Sequence[float]) -> float:
-    """Area under the ROC curve via the rank-sum (Mann-Whitney) statistic.
-
-    Ties receive midranks, matching the trapezoidal ROC integral exactly.
-    Degenerate inputs (empty, or a single class) return 0.5 -- the AUC of
-    an uninformative ranking -- rather than raising, so gate code can run
-    on datasets whose ground truth happens to be one-sided.
-    """
-    label_array = np.asarray(list(labels), dtype=np.float64)
-    score_array = np.asarray(list(scores), dtype=np.float64)
-    if label_array.shape != score_array.shape:
-        raise ValueError(
-            f"labels and scores differ in shape: "
-            f"{label_array.shape} vs {score_array.shape}"
-        )
-    positive = label_array > 0.5
-    num_positive = int(positive.sum())
-    num_negative = label_array.size - num_positive
-    if num_positive == 0 or num_negative == 0:
-        return 0.5
-    # Midranks: every member of a tie group gets the group's average rank.
-    _, inverse, counts = np.unique(
-        score_array, return_inverse=True, return_counts=True
-    )
-    group_end = np.cumsum(counts).astype(np.float64)
-    midranks = group_end - (counts - 1) / 2.0
-    ranks = midranks[inverse]
-    rank_sum = float(ranks[positive].sum())
-    return (rank_sum - num_positive * (num_positive + 1) / 2.0) / (
-        num_positive * num_negative
-    )
-
-
 def mean_and_stderr(values: Sequence[float]) -> tuple[float, float]:
     """Sample mean and standard error (0 stderr for singleton samples)."""
     array = np.asarray(list(values), dtype=np.float64)

@@ -102,9 +102,8 @@ class MatchingClassifier(Module):
 
 # -- pure scoring functions ------------------------------------------------------
 #
-# Module-level so the scoring engine's shared-memory workers (repro.engine.shm)
-# run the exact same code path as the in-process featurizer: workers bind
-# (model, classifier) to the published weights and call score_encoded_batch.
+# Module-level so the scoring engine and the serving backend
+# (repro.serve.InProcessBackend) run the exact same code path.
 
 
 def segment_content_masks(
@@ -685,9 +684,7 @@ class BertFeaturizer:
                 stats.samples += len(index)
         self.model.eval()
         self.classifier.eval()
-        # Bumps the engine's model version; when the shm serving plane has a
-        # live pool this also hot-publishes the new weights into the shared
-        # arena, so the pool absorbs the update without a respawn.
+        # Bumps the engine's model version, dropping scores of the old weights.
         self.engine.invalidate_model()
         return losses
 
@@ -834,6 +831,5 @@ class BertFeaturizer:
         return self.encode_plane.stats_payload()
 
     def close(self) -> None:
-        """Persist the token store and release engine resources; idempotent."""
+        """Persist the token store; idempotent."""
         self.encode_plane.flush()
-        self.engine.close()

@@ -300,7 +300,6 @@ async def _replay_on_service(
 def replay_coalesced(
     script: LoadScript,
     config: ServeConfig | None = None,
-    backend=None,
 ) -> ReplayResult:
     """Replay the script through a :class:`ServeService` (fresh event loop)."""
     if config is None:
@@ -308,5 +307,5 @@ def replay_coalesced(
             max_sessions=max(64, script.n_sessions),
             max_inflight_per_session=max(16, script.requests_per_session()),
         )
-    service = ServeService(config, backend=backend)
+    service = ServeService(config)
     return asyncio.run(_replay_on_service(script, service))

@@ -8,6 +8,9 @@ fixtures build each artefact once.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -183,3 +186,23 @@ def tiny_artifacts(target_schema) -> DomainArtifacts:
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(0)
+
+
+def _shm_entries() -> set[str]:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.fixture()
+def assert_no_helpers_left():
+    """Check, after a run, that it left no child process and no ``/dev/shm`` entry.
+
+    Scoring runs in the calling process, so a matcher or a serving service
+    must leave nothing behind once closed.
+    """
+    before = _shm_entries()
+
+    def check() -> None:
+        assert not multiprocessing.active_children()
+        assert _shm_entries() == before
+
+    return check

@@ -52,6 +52,16 @@ class TestClose:
             session.close()
         assert session.closed  # __exit__ closed an already-closed session
 
+    def test_session_leaves_no_helpers(
+        self, session, ground_truth, assert_no_helpers_left
+    ):
+        session.predict()
+        source, target = next(iter(ground_truth.items()))
+        session.record_match(source, target)
+        session.predict()
+        session.close()
+        assert_no_helpers_left()
+
     def test_predict_after_close_raises(self, session):
         session.close()
         with pytest.raises(RuntimeError, match="closed"):

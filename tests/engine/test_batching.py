@@ -1,4 +1,4 @@
-"""Unit tests: bucket planning, padding trim and in-process fallback."""
+"""Unit tests: bucket planning, padding trim and pair fingerprints."""
 
 from __future__ import annotations
 
@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 
 from repro.engine import (
-    EngineConfig,
-    ScoringEngine,
     bucket_key,
     fingerprint_encoded,
     plan_microbatches,
 )
-from repro.featurizers.bert import MatchingClassifier, score_encoded_batch
-from repro.lm.bert import MiniBert
-from repro.lm.config import BertConfig
 from repro.lm.tokenizer import (
     EncodedPair,
     encoded_length,
@@ -109,72 +104,3 @@ class TestFingerprint:
             attention_mask=base.attention_mask,
         )
         assert fingerprint_encoded(base) != fingerprint_encoded(flipped)
-
-
-@pytest.fixture(scope="module")
-def tiny_stack():
-    model = MiniBert(BertConfig(vocab_size=50, hidden_size=16, num_layers=1, num_heads=2,
-                                intermediate_size=32, max_position=32), seed=0)
-    model.eval()
-    classifier = MatchingClassifier(16, 8, np.random.default_rng(1))
-    classifier.eval()
-    return model, classifier, [0, 1, 2, 3, 4]
-
-
-class TestExecutorFallback:
-    def test_zero_workers_is_unavailable(self, tiny_stack):
-        from repro.engine import ShmServingPlane
-
-        plane = ShmServingPlane(
-            n_workers=0, start_method="spawn", bootstrap_extra={}, scratch_min_bytes=0
-        )
-        try:
-            assert not plane.usable
-            assert plane.score([], 0, list, None) is None
-        finally:
-            plane.close()
-        model, classifier, special_ids = tiny_stack
-        engine = ScoringEngine(
-            model, classifier, special_ids,
-            EngineConfig(n_workers=0, persist_scores=False),
-        )
-        try:
-            assert engine._plane is None
-        finally:
-            engine.close()
-
-    def test_broken_start_method_falls_back_in_process(self, tiny_stack):
-        model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=2,
-            min_pairs_for_workers=1,
-            microbatch_size=2,
-            start_method="bogus-start-method",
-            persist_scores=False,
-        )
-        engine = ScoringEngine(model, classifier, special_ids, config)
-        try:
-            encoded = [encoded_of_length(length, fill=5) for length in (4, 9, 14, 20)]
-            scores = engine.score_encoded(encoded)
-            expected = score_encoded_batch(
-                model, classifier, special_ids, stack_encoded(encoded)
-            )
-            np.testing.assert_allclose(scores, expected, atol=1e-8, rtol=0)
-            assert engine.stats.worker_fallbacks == 1
-            assert engine.stats.worker_batches == 0
-            assert engine.stats.inprocess_batches > 0
-        finally:
-            engine.close()
-
-    def test_small_batches_stay_in_process(self, tiny_stack):
-        model, classifier, special_ids = tiny_stack
-        config = EngineConfig(
-            n_workers=4, min_pairs_for_workers=1000, persist_scores=False
-        )
-        engine = ScoringEngine(model, classifier, special_ids, config)
-        try:
-            engine.score_encoded([encoded_of_length(4, fill=5)])
-            assert engine.stats.worker_batches == 0
-            assert engine.stats.inprocess_batches == 1
-        finally:
-            engine.close()

@@ -138,17 +138,14 @@ class TestEngineLevelIncrementalRescoring:
         engine = ScoringEngine(
             model, classifier, special_ids, EngineConfig(persist_scores=False)
         )
-        try:
-            first = [encoded_of_length(length, fill=5) for length in (4, 8, 12)]
-            engine.score_encoded(first)
-            assert engine.stats.pairs_scored == 3
+        first = [encoded_of_length(length, fill=5) for length in (4, 8, 12)]
+        engine.score_encoded(first)
+        assert engine.stats.pairs_scored == 3
 
-            fresh = [encoded_of_length(16, fill=6), encoded_of_length(20, fill=6)]
-            engine.score_encoded(first + fresh)
-            assert engine.stats.pairs_scored == 5  # only the two new pairs
-            assert engine.stats.pairs_skipped == 3
-        finally:
-            engine.close()
+        fresh = [encoded_of_length(16, fill=6), encoded_of_length(20, fill=6)]
+        engine.score_encoded(first + fresh)
+        assert engine.stats.pairs_scored == 5  # only the two new pairs
+        assert engine.stats.pairs_skipped == 3
 
     def test_weight_change_invalidates_scores(self, engine_stack):
         model, classifier, special_ids = engine_stack
@@ -165,7 +162,6 @@ class TestEngineLevelIncrementalRescoring:
             assert not np.allclose(before, after)
         finally:
             classifier.scalar_path.bias.value[:] -= 0.5
-            engine.close()
 
     def test_scores_persist_across_engines(self, engine_stack, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -176,20 +172,14 @@ class TestEngineLevelIncrementalRescoring:
             model, classifier, special_ids, EngineConfig(persist_scores=True),
             cache_token="test-vertical",
         )
-        try:
-            expected = first.score_encoded(encoded)
-            assert first.stats.pairs_scored == 4
-        finally:
-            first.close()
+        expected = first.score_encoded(encoded)
+        assert first.stats.pairs_scored == 4
 
         second = ScoringEngine(
             model, classifier, special_ids, EngineConfig(persist_scores=True),
             cache_token="test-vertical",
         )
-        try:
-            scores = second.score_encoded(encoded)
-            np.testing.assert_allclose(scores, expected, atol=0, rtol=0)
-            assert second.stats.pairs_scored == 0
-            assert second.stats.pairs_persisted_hits == 4
-        finally:
-            second.close()
+        scores = second.score_encoded(encoded)
+        np.testing.assert_allclose(scores, expected, atol=0, rtol=0)
+        assert second.stats.pairs_scored == 0
+        assert second.stats.pairs_persisted_hits == 4

@@ -1,9 +1,9 @@
 """Golden parity suite: engine scoring == sequential scoring, bit-for-bit-ish.
 
-The batched/bucketed/parallel scoring engine must be a pure optimisation:
-for every public dataset pairing, its scores match the sequential one-pair-
-at-a-time reference within 1e-8, across worker counts {0, 1, 4} and odd
-micro-batch sizes (1, a prime, larger than the pair count).
+The batched/bucketed scoring engine must be a pure optimisation: for every
+public dataset pairing, its scores match the sequential one-pair-at-a-time
+reference within 1e-8, across odd micro-batch sizes (1, a prime, larger
+than the pair count).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.text.corpus import build_corpus
 #: the suite stays fast.
 MAX_PAIRS = 600
 MAX_LENGTH = 32
-
-WORKER_COUNTS = (0, 1, 4)
 
 
 def _batch_sizes(num_pairs: int) -> tuple[int, ...]:
@@ -99,35 +97,22 @@ def test_monolithic_batch_matches_sequential(scoring_stack):
     np.testing.assert_allclose(batched, sequential, atol=1e-8, rtol=0)
 
 
-@pytest.mark.parametrize("n_workers", WORKER_COUNTS)
-def test_engine_matches_sequential(scoring_stack, n_workers):
-    """Bucketed (and parallel) engine scores equal the sequential reference."""
+def test_engine_matches_sequential(scoring_stack):
+    """Bucketed engine scores equal the sequential reference."""
     model, classifier, special_ids, encoded, sequential = scoring_stack
-    config = EngineConfig(
-        n_workers=n_workers,
-        min_pairs_for_workers=1,
-        bucket_granularity=4,
-        persist_scores=False,
-    )
+    config = EngineConfig(bucket_granularity=4, persist_scores=False)
     engine = ScoringEngine(model, classifier, special_ids, config)
-    try:
-        for batch_size in _batch_sizes(len(encoded)):
-            engine.config.microbatch_size = batch_size
-            engine.clear_cached_scores()
-            scores = engine.score_encoded(encoded)
-            np.testing.assert_allclose(
-                scores,
-                sequential,
-                atol=1e-8,
-                rtol=0,
-                err_msg=f"n_workers={n_workers} batch_size={batch_size}",
-            )
-        if n_workers > 0:
-            # The pool really ran (no silent fallback to in-process).
-            assert engine.stats.worker_batches > 0
-            assert engine.stats.worker_fallbacks == 0
-    finally:
-        engine.close()
+    for batch_size in _batch_sizes(len(encoded)):
+        engine.config.microbatch_size = batch_size
+        engine.clear_cached_scores()
+        scores = engine.score_encoded(encoded)
+        np.testing.assert_allclose(
+            scores,
+            sequential,
+            atol=1e-8,
+            rtol=0,
+            err_msg=f"batch_size={batch_size}",
+        )
 
 
 def test_engine_scores_are_order_independent(scoring_stack):
@@ -139,13 +124,10 @@ def test_engine_scores_are_order_independent(scoring_stack):
         special_ids,
         EngineConfig(microbatch_size=13, bucket_granularity=4, persist_scores=False),
     )
-    try:
-        permutation = np.random.default_rng(0).permutation(len(encoded))
-        engine.clear_cached_scores()
-        shuffled = engine.score_encoded([encoded[i] for i in permutation])
-        np.testing.assert_allclose(shuffled, sequential[permutation], atol=1e-8, rtol=0)
-    finally:
-        engine.close()
+    permutation = np.random.default_rng(0).permutation(len(encoded))
+    engine.clear_cached_scores()
+    shuffled = engine.score_encoded([encoded[i] for i in permutation])
+    np.testing.assert_allclose(shuffled, sequential[permutation], atol=1e-8, rtol=0)
 
 
 def test_plan_covers_every_pair_once(scoring_stack):

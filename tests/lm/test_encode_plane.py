@@ -524,7 +524,6 @@ class TestScoreHalvesParity:
             np.testing.assert_array_equal(featurizer.engine.score_encoded(rows), fast)
             assert featurizer.engine.stats.pairs_scored == scored
         finally:
-            reference.close()
             featurizer.close()
 
 

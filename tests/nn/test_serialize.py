@@ -59,18 +59,3 @@ class TestStateDict:
         load_module(other, path)
         for name, parameter in model.parameters().items():
             assert np.array_equal(parameter.value, other.parameters()[name].value)
-
-
-class TestNonFloat32Dtypes:
-    """Views of another dtype never bind silently into float32 parameters."""
-
-    def test_bind_state_views_rejects_dtype_mismatch(self, rng):
-        from repro.nn.serialize import bind_state_views, flat_tensors
-
-        model = build_model(rng)
-        views = {
-            name: array.astype(np.float64)
-            for name, array in flat_tensors(model)
-        }
-        with pytest.raises(ValueError, match="layout mismatch"):
-            bind_state_views(model, views)

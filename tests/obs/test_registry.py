@@ -1,11 +1,22 @@
 """Tests for the metrics registry and the cross-snapshot merge protocol."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.engine.stats import EngineStats
 from repro.nn.stats import TrainStats
 from repro.obs import MetricsRegistry, merge_metrics
 from repro.store.stats import CacheStats
+
+
+def engine_counter_names() -> list[str]:
+    """Every integer counter of :class:`EngineStats` (stage dicts excluded)."""
+    return [
+        f.name
+        for f in fields(EngineStats)
+        if f.name not in ("stage_seconds", "stage_calls")
+    ]
 
 
 class TestMetricsRegistry:
@@ -118,29 +129,21 @@ class TestStatsMerge:
         assert merged.stage_seconds["backward"] == pytest.approx(3.0)
         assert merged.stage_calls["backward"] == 2
 
-    def test_engine_stats_merge_covers_serving_counters(self):
-        """The serving plane's counters sum like every other counter."""
-        left = EngineStats(shm_batches=3, shm_fallbacks=1, hot_swaps=2)
-        right = EngineStats(shm_batches=4, publishes=5, respawns_avoided=1)
+    def test_engine_stats_merge_covers_every_counter(self):
+        """Every integer counter sums under merge(), not just a chosen few."""
+        counters = engine_counter_names()
+        left = EngineStats(**{name: 1 + i for i, name in enumerate(counters)})
+        right = EngineStats(**{name: 10 for name in counters})
         merged = left.merge(right)
-        assert merged.shm_batches == 7
-        assert merged.shm_fallbacks == 1
-        assert merged.hot_swaps == 2
-        assert merged.publishes == 5
-        assert merged.respawns_avoided == 1
+        for i, name in enumerate(counters):
+            assert getattr(merged, name) == 11 + i, name
 
-    def test_fresh_engine_stats_render_serving_counters_as_zero(self):
+    def test_fresh_engine_stats_render_every_counter_as_zero(self):
         """as_dict derives from the dataclass fields: new counters never
         vanish from the rendered snapshot just because they are zero."""
         rendered = EngineStats().as_dict()
-        for counter in (
-            "shm_batches",
-            "shm_fallbacks",
-            "hot_swaps",
-            "publishes",
-            "respawns_avoided",
-        ):
-            assert counter in rendered and rendered[counter] == 0
+        for name in engine_counter_names():
+            assert name in rendered and rendered[name] == 0
 
     def test_merge_round_trips_through_registry_protocol(self):
         """Stats merge() and snapshot merge_metrics() agree on the totals."""
@@ -149,9 +152,10 @@ class TestStatsMerge:
         via_snapshots = merge_metrics(left.as_dict(), right.as_dict())
         assert via_stats == via_snapshots
 
-    def test_merge_round_trips_with_serving_counters_set(self):
-        left = EngineStats(shm_batches=2, respawns_avoided=1)
-        right = EngineStats(shm_fallbacks=3, publishes=4)
+    def test_merge_round_trips_with_every_counter_set(self):
+        counters = engine_counter_names()
+        left = EngineStats(**{name: 2 for name in counters})
+        right = EngineStats(**{name: i for i, name in enumerate(counters)})
         via_stats = left.merge(right).as_dict()
         via_snapshots = merge_metrics(left.as_dict(), right.as_dict())
         assert via_stats == via_snapshots

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -246,9 +247,6 @@ class TestScoring:
             def score(self, resident, plan):
                 raise RuntimeError("boom")
 
-            def close(self):
-                pass
-
         async def scenario():
             service = ServeService(small_config(), backend=ExplodingBackend())
             async with service:
@@ -321,9 +319,9 @@ class TestLifecycle:
 
         run(scenario())
 
-    def test_stop_is_idempotent_and_releases_arenas(self, tenant_stack):
-        from repro.engine import live_segment_names
-
+    def test_stop_is_idempotent_and_leaves_no_helpers(
+        self, tenant_stack, assert_no_helpers_left
+    ):
         async def scenario():
             service = ServeService(small_config())
             await service.start()
@@ -334,7 +332,7 @@ class TestLifecycle:
             await service.stop()
 
         run(scenario())
-        assert not live_segment_names()
+        assert_no_helpers_left()
 
     def test_submit_before_start_raises(self, tenant_stack):
         service = ServeService(small_config())
@@ -376,7 +374,7 @@ class TestLifecycle:
 class TestResidencyEviction:
     def test_lru_eviction_keeps_latest_and_pinned(self, tenant_stack):
         model, classifier, special_ids = tenant_stack
-        residency = ModelResidency(capacity=2, use_shm=False)
+        residency = ModelResidency(capacity=2)
         v1 = residency.publish("t0", model, classifier, special_ids)
         residency.acquire(v1)  # pin v1
         v2 = residency.publish("t0", model, classifier, special_ids)
@@ -392,7 +390,7 @@ class TestResidencyEviction:
         self, tenant_stack
     ):
         model, classifier, special_ids = tenant_stack
-        residency = ModelResidency(capacity=1, use_shm=False)
+        residency = ModelResidency(capacity=1)
         v1 = residency.publish("t0", model, classifier, special_ids)
         residency.acquire(v1)
         v2 = residency.publish("t0", model, classifier, special_ids)
@@ -408,8 +406,54 @@ class TestResidencyEviction:
 
     def test_release_without_acquire_raises(self, tenant_stack):
         model, classifier, special_ids = tenant_stack
-        residency = ModelResidency(capacity=2, use_shm=False)
+        residency = ModelResidency(capacity=2)
         key = residency.publish("t0", model, classifier, special_ids)
         with pytest.raises(ResidencyError, match="release without acquire"):
             residency.release(key)
         residency.close()
+
+
+class TestResidencyImmutability:
+    def test_in_place_write_to_resident_version_raises(self, tenant_stack):
+        residency = ModelResidency(capacity=2)
+        key = residency.publish("t0", *tenant_stack)
+        resident = residency.acquire(key)
+        parameters = [
+            parameter
+            for module in (resident.model, resident.classifier)
+            for parameter in module.parameters().values()
+        ]
+        assert parameters
+        assert all(not parameter.value.flags.writeable for parameter in parameters)
+        for parameter in parameters:
+            with pytest.raises(ValueError, match="read-only"):
+                parameter.value[...] += 1.0
+        residency.release(key)
+        residency.close()
+
+    def test_mutating_live_model_after_publish_leaves_served_scores(
+        self, tenant_stack
+    ):
+        model, classifier, special_ids = tenant_stack
+        pairs = make_pairs(9, 6)
+
+        async def scenario():
+            async with ServeService(small_config()) as service:
+                service.register_tenant("t0", model, classifier, special_ids)
+                handle = service.open_session("t0")
+                before = await service.submit(handle, pairs)
+                # A fine-tuning step on the live model writes in place; the
+                # published version is a snapshot and must not see it.
+                for module in (model, classifier):
+                    for parameter in module.parameters().values():
+                        parameter.value += np.float32(0.25)
+                after = await service.submit(handle, pairs)
+                return before, after
+
+        before, after = run(scenario())
+        np.testing.assert_array_equal(after, before)
+        # The write really changed the live model's scores.
+        live = SimpleNamespace(
+            model=model, classifier=classifier, special_ids=sorted(special_ids)
+        )
+        assert not np.allclose(direct_scores(live, pairs), before)
